@@ -12,6 +12,7 @@
 
 #include "bench_util.hh"
 #include "pargpu/analysis.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -21,6 +22,7 @@ main()
 {
     banner("Ablation", "PATU hash-table capacity (baseline: 16 entries)");
 
+    Session session;
     GameTrace trace = buildGameTrace(GameId::HL2, scaleDim(1280),
                                      scaleDim(1024), numFrames());
 
@@ -37,7 +39,7 @@ main()
         cfg.table_entries = entries;
         configs.push_back(cfg);
     }
-    std::vector<RunResult> runs = runSweep(trace, configs);
+    std::vector<RunResult> runs = session.sweep(trace, configs);
     const RunResult &base = runs[0];
 
     std::printf("%8s %10s %10s %12s %14s\n", "entries", "speedup",

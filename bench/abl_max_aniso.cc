@@ -10,6 +10,7 @@
 #include <iterator>
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -19,6 +20,7 @@ main()
 {
     banner("Ablation", "global max-AF level vs per-pixel PATU");
 
+    Session session;
     GameTrace trace = buildGameTrace(GameId::Grid, scaleDim(1280),
                                      scaleDim(1024), numFrames());
 
@@ -39,7 +41,7 @@ main()
     patu_cfg.threshold = 0.4f;
     configs.push_back(patu_cfg);
 
-    std::vector<RunResult> runs = runSweep(trace, configs);
+    std::vector<RunResult> runs = session.sweep(trace, configs);
     const RunResult &base = runs[0];
 
     std::printf("%-18s %10s %10s %12s\n", "config", "speedup", "MSSIM",

@@ -8,6 +8,7 @@
 
 #include "bench_util.hh"
 #include "pargpu/replay.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -17,6 +18,7 @@ main()
 {
     banner("Figure 4", "R.Bench fps on 2K/4K with AF on vs off");
 
+    Session session;
     struct Res
     {
         const char *label;
@@ -37,11 +39,11 @@ main()
         RunConfig on_cfg;
         on_cfg.scenario = DesignScenario::Baseline;
         on_cfg.keep_images = false;
-        RunResult on = runTrace(trace, on_cfg);
+        RunResult on = session.run(trace, on_cfg);
 
         RunConfig off_cfg = on_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(trace, off_cfg);
+        RunResult off = session.run(trace, off_cfg);
 
         // At reduced bench resolution, scale cycle counts back up so the
         // vsync comparison reflects the paper-native pixel load.

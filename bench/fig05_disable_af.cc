@@ -6,6 +6,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -15,6 +16,7 @@ main()
 {
     banner("Figure 5", "speedup / energy reduction with AF disabled");
 
+    Session session;
     std::printf("%-16s %10s %14s\n", "game", "speedup",
                 "energy reduct.");
 
@@ -23,11 +25,11 @@ main()
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
         base_cfg.keep_images = false;
-        RunResult base = runTrace(w.trace, base_cfg);
+        RunResult base = session.run(w.trace, base_cfg);
 
         RunConfig off_cfg = base_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(w.trace, off_cfg);
+        RunResult off = session.run(w.trace, off_cfg);
 
         double speedup = base.avg_cycles / off.avg_cycles;
         double reduction = 1.0 - off.total_energy_nj / base.total_energy_nj;

@@ -9,6 +9,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -18,6 +19,7 @@ main()
 {
     banner("Figure 6", "memory bandwidth breakdown, AF on vs off");
 
+    Session session;
     std::printf("%-16s | %21s | %21s | %9s %9s\n", "",
                 "AF-on traffic share", "AF-off traffic share", "tex",
                 "filt.lat");
@@ -30,11 +32,11 @@ main()
         RunConfig on_cfg;
         on_cfg.scenario = DesignScenario::Baseline;
         on_cfg.keep_images = false;
-        RunResult on = runTrace(w.trace, on_cfg);
+        RunResult on = session.run(w.trace, on_cfg);
 
         RunConfig off_cfg = on_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(w.trace, off_cfg);
+        RunResult off = session.run(w.trace, off_cfg);
 
         auto shares = [](const RunResult &r, double out[3]) {
             double tex = sumOver(r.frames, &FrameStats::traffic_texture);

@@ -6,6 +6,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -15,17 +16,18 @@ main()
 {
     banner("Figure 7", "MSSIM loss when AF is disabled");
 
+    Session session;
     std::printf("%-16s %12s %12s\n", "game", "MSSIM", "quality loss");
 
     std::vector<double> losses;
     for (const Workload &w : paperWorkloads()) {
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
-        RunResult base = runTrace(w.trace, base_cfg);
+        RunResult base = session.run(w.trace, base_cfg);
 
         RunConfig off_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(w.trace, off_cfg);
+        RunResult off = session.run(w.trace, off_cfg);
 
         double q = off.mssimAgainst(base.images);
         losses.push_back(1.0 - q);

@@ -8,6 +8,7 @@
 
 #include "bench_util.hh"
 #include "pargpu/quality.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -17,17 +18,18 @@ main()
 {
     banner("Figure 8", "SSIM index map of AF-on vs AF-off (HL2)");
 
+    Session session;
     // The paper's frame is HL2 at 1600x1200.
     int w = scaleDim(1600), h = scaleDim(1200);
     GameTrace trace = buildGameTrace(GameId::HL2, w, h, 1);
 
     RunConfig on_cfg;
     on_cfg.scenario = DesignScenario::Baseline;
-    RunResult on = runTrace(trace, on_cfg);
+    RunResult on = session.run(trace, on_cfg);
 
     RunConfig off_cfg;
     off_cfg.scenario = DesignScenario::NoAF;
-    RunResult off = runTrace(trace, off_cfg);
+    RunResult off = session.run(trace, off_cfg);
 
     std::vector<float> map = ssimMap(off.images[0], on.images[0]);
     double m = mssimOfMap(map);

@@ -6,6 +6,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -15,6 +16,7 @@ main()
 {
     banner("Figure 12", "AF input samples sharing texel sets with TF");
 
+    Session session;
     std::printf("%-16s %16s\n", "game", "shared samples");
 
     std::vector<double> fracs;
@@ -22,7 +24,7 @@ main()
         RunConfig cfg;
         cfg.scenario = DesignScenario::Baseline;
         cfg.keep_images = false;
-        RunResult r = runTrace(w.trace, cfg);
+        RunResult r = session.run(w.trace, cfg);
 
         double shared = sumOver(r.frames, &FrameStats::shared_samples);
         double total = sumOver(r.frames, &FrameStats::af_input_samples);

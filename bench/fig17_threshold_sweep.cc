@@ -18,6 +18,7 @@
 
 #include "bench_util.hh"
 #include "pargpu/replay.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -27,6 +28,7 @@ main()
 {
     banner("Figure 17", "threshold sweep: speedup vs MSSIM, per game");
 
+    Session session;
     const int steps = 11;
     std::vector<Workload> games = paperWorkloads();
     std::vector<std::vector<double>> speedup_grid, mssim_grid;
@@ -44,7 +46,7 @@ main()
             cfg.threshold = static_cast<float>(i) / (steps - 1);
             configs.push_back(cfg);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig17", w, configs[0], base);
 

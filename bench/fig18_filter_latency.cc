@@ -7,6 +7,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -16,6 +17,7 @@ main()
 {
     banner("Figure 18", "normalized texture filtering latency");
 
+    Session session;
     const DesignScenario scenarios[] = {
         DesignScenario::AfSsimN,
         DesignScenario::AfSsimNTxds,
@@ -30,7 +32,7 @@ main()
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
         base_cfg.keep_images = false;
-        RunResult base = runTrace(w.trace, base_cfg);
+        RunResult base = session.run(w.trace, base_cfg);
         double base_lat =
             sumOver(base.frames, &FrameStats::texture_filter_cycles);
 
@@ -39,7 +41,7 @@ main()
             RunConfig cfg = base_cfg;
             cfg.scenario = scenarios[s];
             cfg.threshold = 0.4f;
-            RunResult r = runTrace(w.trace, cfg);
+            RunResult r = session.run(w.trace, cfg);
             double lat =
                 sumOver(r.frames, &FrameStats::texture_filter_cycles);
             norm[s] = lat / base_lat;

@@ -8,6 +8,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -17,6 +18,7 @@ main()
 {
     banner("Figure 19", "overall speedup and MSSIM per design scenario");
 
+    Session session;
     const DesignScenario scenarios[] = {
         DesignScenario::AfSsimN,
         DesignScenario::AfSsimNTxds,
@@ -38,7 +40,7 @@ main()
             configs[s + 1].scenario = scenarios[s];
             configs[s + 1].threshold = 0.4f;
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig19", w, configs[0], base);
 

@@ -9,6 +9,7 @@
 #include <iterator>
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -18,6 +19,7 @@ main()
 {
     banner("Figure 21", "cache scaling with and without PATU");
 
+    Session session;
     struct Config
     {
         const char *label;
@@ -54,7 +56,7 @@ main()
             patu_cfg.threshold = 0.4f;
             sweep.push_back(patu_cfg);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, sweep);
+        std::vector<RunResult> runs = session.sweep(w.trace, sweep);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig21", w, base_cfg, base);
         for (std::size_t i = 0; i < nc; ++i) {

@@ -9,6 +9,7 @@
 
 #include "bench_util.hh"
 #include "pargpu/replay.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -18,6 +19,7 @@ main()
 {
     banner("Figure 22", "user satisfaction over thresholds (simulated)");
 
+    Session session;
     struct Case
     {
         GameId id;
@@ -43,7 +45,7 @@ main()
 
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
-        RunResult base = runTrace(trace, base_cfg);
+        RunResult base = session.run(trace, base_cfg);
 
         // Normalize the absolute cycle scale to the paper's operating
         // point: our procedural scenes are structurally simpler than
@@ -67,7 +69,7 @@ main()
             RunConfig cfg;
             cfg.scenario = DesignScenario::Patu;
             cfg.threshold = t;
-            RunResult r = runTrace(trace, cfg);
+            RunResult r = session.run(trace, cfg);
             double q = r.mssimAgainst(base.images);
 
             std::vector<Cycle> cyc;

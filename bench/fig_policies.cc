@@ -17,6 +17,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -66,6 +67,8 @@ main()
     banner("FilterPolicy comparison",
            "quality vs. texel fetches vs. energy per filter policy");
 
+    Session session;
+
     // One texel-bound and one anisotropy-heavy Table II workload.
     const struct
     {
@@ -98,7 +101,7 @@ main()
             c.filter_policy = d.id;
             configs.push_back(c);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         writePolicyMetrics(w, configs[0], base, -1.0, true);
 

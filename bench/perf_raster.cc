@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 #include "pargpu/simd.hh"
 #include "pargpu/threading.hh"
 
@@ -73,6 +74,7 @@ main()
     banner("Perf raster",
            "raster-bound scenario (NoAF), one run per SIMD tier");
 
+    Session session;
     const char *fenv = std::getenv("PARGPU_FRAMES");
     const int frames = fenv ? numFrames() : 4;
     // UT3 arena: the most triangle-dense trace, at paper-native
@@ -98,7 +100,7 @@ main()
             static_cast<int>(simd::SimdTier::Avx2))
         tiers.push_back(simd::SimdTier::Avx2);
 
-    runTrace(trace, cfg); // Warm-up outside every timed region.
+    session.run(trace, cfg); // Warm-up outside every timed region.
 
     std::vector<double> tier_sec(tiers.size(), 0.0);
     RunResult ref;
@@ -106,7 +108,7 @@ main()
     for (std::size_t i = 0; i < tiers.size(); ++i) {
         simd::setActiveTier(tiers[i]);
         auto t0 = std::chrono::steady_clock::now();
-        RunResult r = runTrace(trace, cfg);
+        RunResult r = session.run(trace, cfg);
         auto t1 = std::chrono::steady_clock::now();
         tier_sec[i] = seconds(t0, t1);
         if (i == 0) {

@@ -2,7 +2,7 @@
  * @file
  * Perf smoke test, two sections:
  *
- * 1. Parallel engine — times runTrace() at 1 thread and at N threads on
+ * 1. Parallel engine — times Session::run() at 1 thread and at N threads on
  *    a fixed workload, checks the results are bit-identical, and writes
  *    BENCH_parallel.json (simulation throughput + parallel speedup).
  *
@@ -28,6 +28,7 @@
 #include <thread>
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 #include "pargpu/simd.hh"
 #include "pargpu/threading.hh"
 
@@ -49,8 +50,9 @@ seconds(std::chrono::steady_clock::time_point t0,
 int
 main()
 {
-    banner("Perf smoke", "runTrace wall-clock, 1 vs N threads");
+    banner("Perf smoke", "Session::run wall-clock, 1 vs N threads");
 
+    Session session;
     const char *fenv = std::getenv("PARGPU_FRAMES");
     const int frames = fenv ? numFrames() : 8;
     GameTrace trace = buildGameTrace(GameId::HL2, scaleDim(1280),
@@ -73,12 +75,12 @@ main()
     parallel_cfg.threads = static_cast<int>(n_threads);
 
     // Warm up once (page cache, pool spin-up) outside the timed region.
-    runTrace(trace, parallel_cfg);
+    session.run(trace, parallel_cfg);
 
     auto t0 = std::chrono::steady_clock::now();
-    RunResult serial = runTrace(trace, serial_cfg);
+    RunResult serial = session.run(trace, serial_cfg);
     auto t1 = std::chrono::steady_clock::now();
-    RunResult parallel = runTrace(trace, parallel_cfg);
+    RunResult parallel = session.run(trace, parallel_cfg);
     auto t2 = std::chrono::steady_clock::now();
 
     const double s_sec = seconds(t0, t1);
@@ -177,9 +179,9 @@ main()
     texel_cfg.keep_images = false;
     texel_cfg.threads = 1;
 
-    runTrace(texel_trace, texel_cfg); // Warm-up outside the timed region.
+    session.run(texel_trace, texel_cfg); // Warm-up outside the timed region.
     auto t3 = std::chrono::steady_clock::now();
-    RunResult texel = runTrace(texel_trace, texel_cfg);
+    RunResult texel = session.run(texel_trace, texel_cfg);
     auto t4 = std::chrono::steady_clock::now();
 
     const double x_sec = seconds(t3, t4);

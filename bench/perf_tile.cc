@@ -25,6 +25,7 @@
 #include <thread>
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 #include "pargpu/simd.hh"
 #include "pargpu/threading.hh"
 
@@ -75,6 +76,7 @@ main()
     banner("Perf tile",
            "intra-frame tile parallelism, serial vs 1/2/4/8 workers");
 
+    Session session;
     // One frame, paper-native resolution, texel-bound scenario: the
     // fragment phase dominates, which is exactly what tile parallelism
     // accelerates.
@@ -93,11 +95,11 @@ main()
 
     // Warm up once (page cache, pool spin-up) outside the timed region.
     ThreadPool::setDefaultThreads(2);
-    runTrace(trace, tile_cfg);
+    session.run(trace, tile_cfg);
     ThreadPool::setDefaultThreads(0);
 
     auto t0 = std::chrono::steady_clock::now();
-    RunResult serial = runTrace(trace, serial_cfg);
+    RunResult serial = session.run(trace, serial_cfg);
     auto t1 = std::chrono::steady_clock::now();
     const double s_sec = seconds(t0, t1);
 
@@ -111,7 +113,7 @@ main()
     for (int i = 0; i < 4; ++i) {
         ThreadPool::setDefaultThreads(kWorkers[i]);
         auto w0 = std::chrono::steady_clock::now();
-        RunResult tiled = runTrace(trace, tile_cfg);
+        RunResult tiled = session.run(trace, tile_cfg);
         auto w1 = std::chrono::steady_clock::now();
         tile_sec[i] = seconds(w0, w1);
         const bool same = runsIdentical(serial, tiled);

@@ -6,6 +6,7 @@
  */
 
 #include "bench_util.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 using namespace pargpu::bench;
@@ -15,6 +16,7 @@ main()
 {
     banner("Section V-C(1)", "PATU decision divergence within quads");
 
+    Session session;
     std::printf("%-16s %14s %14s %12s\n", "game", "AF quads",
                 "divergent", "fraction");
 
@@ -24,7 +26,7 @@ main()
         cfg.scenario = DesignScenario::Patu;
         cfg.threshold = 0.4f;
         cfg.keep_images = false;
-        RunResult r = runTrace(w.trace, cfg);
+        RunResult r = session.run(w.trace, cfg);
 
         double divergent =
             sumOver(r.frames, &FrameStats::divergent_quads);

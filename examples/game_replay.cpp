@@ -14,6 +14,7 @@
 
 #include "pargpu/config.hh"
 #include "pargpu/replay.hh"
+#include "pargpu/session.hh"
 #include "pargpu/trace.hh"
 
 using namespace pargpu;
@@ -44,13 +45,14 @@ main(int argc, char **argv)
         return 1;
     }
 
+    Session session;
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
-    RunResult base = runTrace(trace, base_cfg);
+    RunResult base = session.run(trace, base_cfg);
 
     RunConfig patu_cfg;
     patu_cfg.scenario = DesignScenario::Patu;
-    RunResult patu = runTrace(trace, patu_cfg);
+    RunResult patu = session.run(trace, patu_cfg);
 
     ReplayResult base_replay = simulateReplay(frameCycles(base));
     ReplayResult patu_replay = simulateReplay(frameCycles(patu));

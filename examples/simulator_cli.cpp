@@ -23,6 +23,7 @@
 #include "pargpu/threading.hh"
 #include "pargpu/config.hh"
 #include "pargpu/power.hh"
+#include "pargpu/session.hh"
 #include "pargpu/sim.hh"
 
 using namespace pargpu;
@@ -165,6 +166,7 @@ int
 main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
+    Session session;
     GameTrace trace = buildGameTrace(o.game, o.width, o.height, o.frames);
 
     std::printf("workload  : %s (%zu draws, %zu tris, %zu textures)\n",
@@ -201,7 +203,7 @@ main(int argc, char **argv)
     // Mono path: frames render (possibly in parallel) through the
     // harness, then print in order — output is identical to a serial run.
     o.run.keep_images = !o.dump_prefix.empty();
-    RunResult run = runTrace(trace, o.run);
+    RunResult run = session.run(trace, o.run);
     for (int f = 0; f < o.frames; ++f) {
         std::printf("\n=== frame %d ===\n", f);
         printFrame("frame", run.frames[f]);

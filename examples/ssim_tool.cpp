@@ -13,6 +13,7 @@
 
 #include "pargpu/config.hh"
 #include "pargpu/quality.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 
@@ -24,14 +25,15 @@ selfDemo()
 {
     std::printf("no inputs given: demonstrating on HL2 AF-on vs AF-off\n");
     GameTrace trace = buildGameTrace(GameId::HL2, 640, 480, 1);
+    Session session;
 
     RunConfig on_cfg;
     on_cfg.scenario = DesignScenario::Baseline;
-    RunResult on = runTrace(trace, on_cfg);
+    RunResult on = session.run(trace, on_cfg);
 
     RunConfig off_cfg;
     off_cfg.scenario = DesignScenario::NoAF;
-    RunResult off = runTrace(trace, off_cfg);
+    RunResult off = session.run(trace, off_cfg);
 
     std::vector<float> map = ssimMap(off.images[0], on.images[0]);
     std::printf("MSSIM(AF-off vs AF-on) = %.4f\n", mssimOfMap(map));

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "pargpu/config.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 
@@ -51,9 +52,10 @@ main(int argc, char **argv)
     GameTrace trace = buildGameTrace(game, width, height, 2);
     std::printf("threshold sweep for %s\n\n", trace.name.c_str());
 
+    Session session;
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
-    RunResult base = runTrace(trace, base_cfg);
+    RunResult base = session.run(trace, base_cfg);
 
     std::printf("%9s %9s %9s %12s\n",
                 "threshold", "speedup", "MSSIM", "speed*MSSIM");
@@ -65,7 +67,7 @@ main(int argc, char **argv)
         RunConfig cfg;
         cfg.scenario = DesignScenario::Patu;
         cfg.threshold = threshold;
-        RunResult run = runTrace(trace, cfg);
+        RunResult run = session.run(trace, cfg);
         double speedup = base.avg_cycles / run.avg_cycles;
         double quality = run.mssimAgainst(base.images);
         double metric = speedup * quality;

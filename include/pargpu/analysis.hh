@@ -6,8 +6,8 @@
  * table, the PATU decision unit, and the area/energy overhead model
  * (Section VI).
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_ANALYSIS_HH

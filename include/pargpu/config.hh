@@ -4,11 +4,10 @@
  *
  * Re-exports the experiment condition (RunConfig + RunConfig::validate()),
  * the modeled machine (GpuConfig, Table I defaults), the design scenarios
- * (DesignScenario), and the run entry points runTrace()/runSweep() with
- * their RunResult aggregation.
+ * (DesignScenario), and the RunResult aggregation a run produces.
  *
- * Session-status: legacy-shim — runTrace()/runSweep() are deprecated
- * wrappers over the process-global Session (pargpu/session.hh).
+ * Session-status: neutral — configuration and result types only; runs
+ * execute through Session (pargpu/session.hh).
  */
 
 #ifndef PARGPU_CONFIG_HH

@@ -6,8 +6,8 @@
  * writeMetricsJson/writeMetricsCsv, buildRunRegistry, RunMetadata,
  * kMetricsSchemaVersion) described in docs/METRICS.md.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_METRICS_HH

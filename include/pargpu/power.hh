@@ -5,8 +5,8 @@
  * Re-exports the per-frame energy breakdown (computeEnergy,
  * EnergyBreakdown, averagePowerW) behind Fig. 17's energy axis.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_POWER_HH

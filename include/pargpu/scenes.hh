@@ -5,8 +5,8 @@
  * Re-exports GameTrace/GameId/buildGameTrace, the Table II benchmark list
  * (paperBenchmarks), and the procedural scene/mesh builders.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_SCENES_HH

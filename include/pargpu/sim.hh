@@ -6,8 +6,8 @@
  * rasterizer quad types, and the stereo-rendering model for benches that
  * drive the simulator directly.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_SIM_HH

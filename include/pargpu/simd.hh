@@ -6,8 +6,8 @@
  * instruction-set dispatch, and the QuadFilter front-end for kernel
  * benches and bit-identity tests.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_SIMD_HH

@@ -7,8 +7,8 @@
  * generators, TextureSampler with its trilinear/anisotropic filters, and
  * the FilterPolicy family (docs/FILTERING.md).
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_TEXTURE_HH

@@ -5,8 +5,8 @@
  * Re-exports the ThreadPool used for frame/config-level parallelism
  * (PARGPU_THREADS, setDefaultThreads, parallel-for).
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_THREADING_HH

@@ -5,8 +5,8 @@
  * Re-exports binary trace writing/reading (the ATTILA-trace analog): a
  * trace reconstructs a bit-identical workload.
  *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
+ * Session-status: neutral — data types and models that Session runs
+ * use; no run entry points of its own.
  */
 
 #ifndef PARGPU_TRACE_HH

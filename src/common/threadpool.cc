@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "common/annotations.hh"
+#include "common/logging.hh"
 
 namespace pargpu
 {
@@ -206,12 +210,15 @@ ThreadPool::defaultThreads()
         return o;
     static const unsigned env_threads = [] {
         const char *v = std::getenv("PARGPU_THREADS");
-        if (v) {
-            int n = std::atoi(v);
-            if (n > 0)
-                return static_cast<unsigned>(n);
-        }
-        return 0u;
+        if (v == nullptr || v[0] == '\0')
+            return 0u;
+        const char *end = v + std::strlen(v);
+        int n = 0;
+        const std::from_chars_result r = std::from_chars(v, end, n);
+        if (r.ec != std::errc{} || r.ptr != end || n < 1 || n > 4096)
+            fatal(std::string("PARGPU_THREADS must be an integer in "
+                              "[1, 4096], got '") + v + "'");
+        return static_cast<unsigned>(n);
     }();
     if (env_threads > 0)
         return env_threads;

@@ -72,7 +72,9 @@ class ThreadPool
 
     /**
      * Default concurrency: setDefaultThreads() override if set, else
-     * PARGPU_THREADS, else hardware_concurrency(); always >= 1.
+     * PARGPU_THREADS, else hardware_concurrency(); always >= 1. A set,
+     * non-empty PARGPU_THREADS that is not an integer in [1, 4096] is
+     * fatal() on first use.
      */
     static unsigned defaultThreads();
 

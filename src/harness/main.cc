@@ -5,8 +5,7 @@
  * versioned metrics document (JSON/CSV, see docs/METRICS.md) and an
  * optional chrome://tracing profile.
  *
- * Flags come in three families (see docs/REPRODUCING.md for the full
- * mapping):
+ * Flags come in three families (see docs/REPRODUCING.md):
  *   --run-*      the experimental condition (workload, scenario, knobs)
  *   --metrics-*  structured metric exports
  *   --trace-*    chrome://tracing profile capture
@@ -25,11 +24,8 @@
  *                  [--metrics-json FILE] [--metrics-csv FILE]
  *                  [--trace-out FILE] [--quiet]
  *
- * The pre-family spellings (--game, --scenario, --threshold, --width,
- * --height, --frames, --tc-scale, --llc-scale, --max-aniso,
- * --table-entries, --threads, --reference) still work as deprecated
- * aliases; the first use of each spelling prints a one-line warning on
- * stderr (once per process).
+ * Numeric values must be complete, in-range numbers: a malformed value
+ * ("abc", "1x", an overflow) exits 2 with "invalid value for --run-X".
  *
  * --run-reference renders a second run under the given scenario and
  * reports MSSIM of the primary run against it (the paper's quality axis).
@@ -37,6 +33,7 @@
  * writes a JSON trace loadable in chrome://tracing / Perfetto.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -128,52 +125,28 @@ usage()
         "  --metrics-csv F     write per-frame stats as CSV\n"
         "  --trace-out F       write a chrome://tracing JSON profile\n"
         "  --quiet             suppress the human-readable summary\n"
-        "Unprefixed spellings of the run flags (--game, --scenario, ...)\n"
-        "are deprecated aliases; see docs/REPRODUCING.md.\n"
         "See docs/METRICS.md for the schema and every metric name.\n",
         kMetricsSchemaVersion);
 }
 
 /**
- * Map a deprecated pre-family spelling to its canonical --run-* form,
- * warning once per spelling; canonical and unknown flags pass through.
+ * Parse all of @p v as a number of type T (std::from_chars: no leading
+ * blanks or '+', no trailing characters, overflow rejected), else exit 2
+ * naming @p flag and the value.
  */
-std::string
-canonicalFlag(const std::string &flag)
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &v)
 {
-    static const struct
-    {
-        const char *old_name;
-        const char *new_name;
-    } kAliases[] = {
-        {"--game", "--run-game"},
-        {"--scenario", "--run-scenario"},
-        {"--threshold", "--run-threshold"},
-        {"--width", "--run-width"},
-        {"--height", "--run-height"},
-        {"--frames", "--run-frames"},
-        {"--tc-scale", "--run-tc-scale"},
-        {"--llc-scale", "--run-llc-scale"},
-        {"--max-aniso", "--run-max-aniso"},
-        {"--table-entries", "--run-table-entries"},
-        {"--threads", "--run-threads"},
-        {"--reference", "--run-reference"},
-    };
-    static bool warned[sizeof(kAliases) / sizeof(kAliases[0])] = {};
-    for (std::size_t k = 0; k < sizeof(kAliases) / sizeof(kAliases[0]);
-         ++k) {
-        if (flag == kAliases[k].old_name) {
-            if (!warned[k]) {
-                warned[k] = true;
-                std::fprintf(
-                    stderr,
-                    "pargpu_harness: '%s' is deprecated, use '%s'\n",
-                    kAliases[k].old_name, kAliases[k].new_name);
-            }
-            return kAliases[k].new_name;
-        }
+    T n{};
+    const char *end = v.data() + v.size();
+    const std::from_chars_result r = std::from_chars(v.data(), end, n);
+    if (r.ec != std::errc{} || r.ptr != end) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", flag,
+                     v.c_str());
+        std::exit(2);
     }
-    return flag;
+    return n;
 }
 
 Options
@@ -181,7 +154,7 @@ parseArgs(int argc, char **argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
-        std::string a = canonicalFlag(argv[i]);
+        const std::string a = argv[i];
         auto need = [&](const char *flag) -> std::string {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s needs a value\n", flag);
@@ -189,36 +162,38 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto needInt = [&](const char *flag) {
+            return parseNumber<int>(flag, need(flag));
+        };
         if (a == "--run-game") {
             o.game = parseGame(need("--run-game"));
         } else if (a == "--run-scenario") {
             o.run.scenario = parseScenario(need("--run-scenario"));
         } else if (a == "--run-threshold") {
-            o.run.threshold = static_cast<float>(
-                std::atof(need("--run-threshold").c_str()));
+            o.run.threshold = parseNumber<float>(
+                "--run-threshold", need("--run-threshold"));
         } else if (a == "--run-width") {
-            o.width = std::atoi(need("--run-width").c_str());
+            o.width = needInt("--run-width");
         } else if (a == "--run-height") {
-            o.height = std::atoi(need("--run-height").c_str());
+            o.height = needInt("--run-height");
         } else if (a == "--run-frames") {
-            o.frames = std::atoi(need("--run-frames").c_str());
+            o.frames = needInt("--run-frames");
         } else if (a == "--run-tc-scale") {
-            o.run.tc_scale = static_cast<unsigned>(
-                std::atoi(need("--run-tc-scale").c_str()));
+            o.run.tc_scale =
+                static_cast<unsigned>(needInt("--run-tc-scale"));
         } else if (a == "--run-llc-scale") {
-            o.run.llc_scale = static_cast<unsigned>(
-                std::atoi(need("--run-llc-scale").c_str()));
+            o.run.llc_scale =
+                static_cast<unsigned>(needInt("--run-llc-scale"));
         } else if (a == "--run-max-aniso") {
-            o.run.max_aniso = std::atoi(need("--run-max-aniso").c_str());
+            o.run.max_aniso = needInt("--run-max-aniso");
         } else if (a == "--run-table-entries") {
-            o.run.table_entries =
-                std::atoi(need("--run-table-entries").c_str());
+            o.run.table_entries = needInt("--run-table-entries");
         } else if (a == "--run-threads") {
-            o.run.threads = std::atoi(need("--run-threads").c_str());
+            o.run.threads = needInt("--run-threads");
         } else if (a == "--run-tile-parallel") {
             o.run.tile_parallel = true;
         } else if (a == "--run-clusters") {
-            o.run.clusters = std::atoi(need("--run-clusters").c_str());
+            o.run.clusters = needInt("--run-clusters");
         } else if (a == "--run-filter-policy") {
             o.run.filter_policy =
                 parseFilterPolicyOrDie(need("--run-filter-policy"));

@@ -206,10 +206,9 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
             static_cast<double>(simd::tierLanes(simd::activeTier())));
     reg.set("simd.dispatch",
             static_cast<double>(static_cast<int>(simd::activeTier())));
-    // Host-side texel storage in effect for this process (1 = Morton).
-    reg.set("texture.morton_storage",
-            TextureMap::defaultStorage() == TexelStorage::Morton ? 1.0
-                                                                 : 0.0);
+    // Rendered textures always use Morton host storage; the key stays so
+    // the registry key set is stable across versions.
+    reg.set("texture.morton_storage", 1.0);
 
     // FilterPolicy reporting (docs/FILTERING.md). Counters are emitted
     // unconditionally (zero under Patu) so the registry key set is

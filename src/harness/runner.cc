@@ -214,21 +214,6 @@ renderSweep(const GameTrace &trace, const std::vector<RunConfig> &configs,
 
 } // namespace detail
 
-RunResult
-runTrace(const GameTrace &trace, const RunConfig &config)
-{
-    detail::warnLegacyEntryPoint("runTrace()", "Session::run()/submit()");
-    return Session::global().run(trace, config);
-}
-
-std::vector<RunResult>
-runSweep(const GameTrace &trace, const std::vector<RunConfig> &configs,
-         int threads)
-{
-    detail::warnLegacyEntryPoint("runSweep()", "Session::sweep()");
-    return Session::global().sweep(trace, configs, threads);
-}
-
 std::vector<Cycle>
 frameCycles(const RunResult &run)
 {

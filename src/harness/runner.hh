@@ -3,12 +3,14 @@
  * Experiment runner: renders a game trace under a design scenario and
  * aggregates the measurements every bench and example consumes.
  *
- * Frames of a trace are independent by construction (the simulator resets
- * cache and DRAM state per frame), so runTrace() renders them in parallel
- * on the shared thread pool — one GpuSimulator per worker partition, each
- * frame written into its own pre-sized slot, aggregation done serially in
- * frame order. The parallel path is bit-identical to the serial one.
- * runSweep() parallelizes one level up, across RunConfig conditions.
+ * Runs execute through a Session (harness/session.hh), which renders
+ * with the engine in runner.cc. Frames of a trace are independent by
+ * construction (the simulator resets cache and DRAM state per frame), so
+ * Session::run() renders them in parallel on the shared thread pool — one
+ * GpuSimulator per worker partition, each frame written into its own
+ * pre-sized slot, aggregation done serially in frame order. The parallel
+ * path is bit-identical to the serial one. Session::sweep() parallelizes
+ * one level up, across RunConfig conditions.
  */
 
 #ifndef PARGPU_HARNESS_RUNNER_HH
@@ -55,7 +57,7 @@ struct RunConfig
     int max_aniso = 16;
     bool keep_images = true;  ///< Retain rendered frames (for SSIM).
     int table_entries = 0;    ///< PATU hash-table entries (0 = default).
-    int threads = 0;          ///< Frame-level parallelism for runTrace():
+    int threads = 0;          ///< Frame-level parallelism of one run:
                               ///< 0 = PARGPU_THREADS/default, 1 = serial.
     bool tile_parallel = false; ///< Intra-frame tile parallelism across
                                 ///< clusters (GpuConfig::tile_parallel;
@@ -69,7 +71,7 @@ struct RunConfig
 
     /**
      * Check every field against its legal range and return the list of
-     * violations (empty = valid). runTrace()/runSweep() call this and
+     * violations (empty = valid). Session::run()/sweep() call this and
      * fatal() on the first violation instead of silently clamping or
      * crashing deep inside cache construction; interactive drivers (the
      * harness CLI) report all violations and exit cleanly.
@@ -99,31 +101,6 @@ struct RunResult
 
 /** Build the GpuConfig for a run condition. */
 GpuConfig makeGpuConfig(const RunConfig &config);
-
-/**
- * Render every frame of @p trace under @p config.
- *
- * Deprecated for external callers: a thin wrapper over the process-global
- * Session (harness/session.hh) that prints a one-shot per-process note on
- * first direct use. The result is bit-identical to
- * Session::run(trace, config).
- */
-RunResult runTrace(const GameTrace &trace, const RunConfig &config);
-
-/**
- * Render @p trace under every condition of @p configs, conditions in
- * parallel (frames within each condition stay serial on a worker).
- * results[i] corresponds to configs[i] and is bit-identical to
- * runTrace(trace, configs[i]).
- *
- * Deprecated for external callers like runTrace(): a thin wrapper over
- * Session::sweep() on the process-global Session.
- *
- * @param threads  Total concurrency (0 = PARGPU_THREADS/default).
- */
-std::vector<RunResult> runSweep(const GameTrace &trace,
-                                const std::vector<RunConfig> &configs,
-                                int threads = 0);
 
 /** Frame times of a run, for the replay/vsync model. */
 std::vector<Cycle> frameCycles(const RunResult &run);

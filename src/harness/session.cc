@@ -1,9 +1,7 @@
 #include "harness/session.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <set>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -57,7 +55,6 @@ envOverrides()
         e.default_threads = ThreadPool::defaultThreads();
         e.tile_parallel_forced = tileParallelForced();
         e.filter_policy = defaultFilterPolicy();
-        e.texel_storage = TextureMap::defaultStorage();
         e.contract_report =
             std::getenv("PARGPU_CONTRACT_REPORT") != nullptr;
         // ContractStats harness hook: with PARGPU_CONTRACT_REPORT set,
@@ -72,25 +69,6 @@ envOverrides()
     }();
     return env;
 }
-
-namespace detail
-{
-
-void
-warnLegacyEntryPoint(const char *legacy, const char *replacement)
-{
-    static Mutex mu;
-    static std::set<std::string> warned;
-    MutexLock lk(mu);
-    if (!warned.insert(legacy).second)
-        return;
-    std::fprintf(stderr,
-                 "pargpu: %s is deprecated for external callers; use %s "
-                 "(pargpu/session.hh, docs/SERVE.md)\n",
-                 legacy, replacement);
-}
-
-} // namespace detail
 
 // --- Job -----------------------------------------------------------------
 
@@ -407,8 +385,8 @@ Session::enqueue(const JobHandle &job)
 {
     {
         MutexLock lk(mu_);
-        // Dispatchers spin up lazily so synchronous-only sessions (and
-        // the global legacy-wrapper session) never spawn threads.
+        // Dispatchers spin up lazily so synchronous-only sessions never
+        // spawn threads.
         while (dispatchers_.size() < job_workers_)
             dispatchers_.emplace_back([this] { dispatcherLoop(); });
         queue_.push_back(job);
@@ -445,13 +423,6 @@ std::size_t
 Session::jobsCompleted() const
 {
     return completed_.load(std::memory_order_relaxed);
-}
-
-Session &
-Session::global()
-{
-    static Session session;
-    return session;
 }
 
 } // namespace pargpu

@@ -3,21 +3,21 @@
  * Session-based experiment facade: immutable shared assets, queued jobs,
  * streamed metrics snapshots.
  *
- * A Session amortizes everything a one-shot runTrace()/runSweep() process
- * pays per invocation: decoded scenes, procedural textures and their mip
- * pyramids, replayable traces, and the validated environment overrides.
+ * Session is the one entry point for running experiments. It amortizes
+ * everything a one-shot run pays per invocation: decoded scenes,
+ * procedural textures and their mip pyramids, replayable traces, and the
+ * validated environment overrides.
  * Assets are loaded once (load()), held behind shared_ptr<const GameTrace>
  * and shared read-only across every job; thousands of config evaluations
  * can then run in one process against one decode.
  *
- * Execution surfaces, all bit-identical to the legacy free functions:
+ * Execution surfaces, all bit-identical to one another:
  *
  *  - run()/sweep(trace, ...): synchronous, borrowing a caller-owned
- *    trace — the exact code path the deprecated runTrace()/runSweep()
- *    wrappers forward to.
+ *    trace — what benches, examples and tests call.
  *  - sweep(key, ...): synchronous sweep over a loaded asset; its output
  *    (RunResults, metrics JSON, counters, images) is byte-identical to
- *    runSweep() on the same configs (session_test pins this down).
+ *    sweep(trace, ...) on the same configs (session_test pins this down).
  *  - submit()/submitSweep(): asynchronous jobs on a small dispatcher
  *    crew; each job fans its frames out onto the shared ThreadPool and
  *    exposes streamed metrics snapshots while running. Handles are
@@ -91,7 +91,7 @@ struct Status
 /**
  * Validate @p config the Session way: Ok when valid, else InvalidConfig
  * with every configErrorMessage() joined by "; " — the same typed
- * reasons runTrace() fatals with, minus the process exit.
+ * reasons run() fatals with, minus the process exit.
  */
 Status validateRunConfig(const RunConfig &config);
 
@@ -108,8 +108,6 @@ struct EnvOverrides
     bool tile_parallel_forced = false; ///< PARGPU_TILE_PARALLEL=1.
     FilterPolicyId filter_policy = FilterPolicyId::Patu;
         ///< PARGPU_FILTER_POLICY (default patu).
-    TexelStorage texel_storage = TexelStorage::Morton;
-        ///< PARGPU_TEXEL_STORAGE.
     bool contract_report = false;  ///< PARGPU_CONTRACT_REPORT set.
 };
 
@@ -138,7 +136,7 @@ class RunProgress
 };
 
 /**
- * The runTrace() engine (moved here from the free function): renders
+ * The Session::run() engine: renders
  * every frame of @p trace under @p config, frames parallel on the
  * shared pool unless nested, aggregation serial in frame order.
  * fatal()s on an invalid config. @p progress, when non-null, observes
@@ -147,18 +145,10 @@ class RunProgress
 RunResult renderTrace(const GameTrace &trace, const RunConfig &config,
                       RunProgress *progress = nullptr);
 
-/** The runSweep() engine: conditions in parallel, results by index. */
+/** The Session::sweep() engine: conditions in parallel, results by index. */
 std::vector<RunResult> renderSweep(const GameTrace &trace,
                                    const std::vector<RunConfig> &configs,
                                    int threads = 0);
-
-/**
- * One-shot per-process deprecation note for a legacy entry point (same
- * mechanism as the harness's deprecated-alias flag warnings): the first
- * direct call of runTrace()/runSweep() prints one line on stderr
- * pointing at the Session API; later calls are silent.
- */
-void warnLegacyEntryPoint(const char *legacy, const char *replacement);
 
 } // namespace detail
 
@@ -211,7 +201,7 @@ class Job
 
     /**
      * Blocking access to the finished result (wait() + reference). The
-     * result is bit-identical to runTrace(trace, config()).
+     * result is bit-identical to Session::run(trace, config()).
      */
     const RunResult &result() const;
 
@@ -307,23 +297,30 @@ class Session
     /** Keys of every loaded asset, sorted. */
     std::vector<std::string> traceKeys() const;
 
-    // --- Synchronous execution (legacy-identical) ------------------------
+    // --- Synchronous execution -------------------------------------------
 
     /**
-     * Render @p trace under @p config — the exact legacy runTrace()
-     * path (fatal() on an invalid config), minus the deprecation note.
+     * Render @p trace under @p config (fatal() on an invalid config).
+     * @p trace is borrowed: it must outlive the call.
      */
     RunResult run(const GameTrace &trace, const RunConfig &config);
 
-    /** The exact legacy runSweep() path over a borrowed trace. */
+    /**
+     * Render @p trace under every condition of @p configs, conditions in
+     * parallel (frames within each condition stay serial on a worker).
+     * results[i] corresponds to configs[i] and is bit-identical to
+     * run(trace, configs[i]).
+     *
+     * @param threads  Total concurrency (0 = PARGPU_THREADS/default).
+     */
     std::vector<RunResult> sweep(const GameTrace &trace,
                                  const std::vector<RunConfig> &configs,
                                  int threads = 0);
 
     /**
      * Sweep a loaded asset: validates every config (typed Status instead
-     * of fatal()), then runs the legacy sweep engine. @p results is
-     * byte-identical to runSweep(trace, configs, threads) — metrics
+     * of fatal()), then runs the same sweep engine. @p results is
+     * byte-identical to sweep(trace, configs, threads) — metrics
      * JSON, counters and images included.
      */
     Status sweep(const std::string &key,
@@ -344,7 +341,7 @@ class Session
      * Enqueue one job per config (a concurrent sweep). All-or-nothing:
      * on any invalid config nothing is enqueued and the vector is
      * empty with the reason in @p status. Waiting on the handles in
-     * order yields results bit-identical to runSweep().
+     * order yields results bit-identical to sweep().
      */
     std::vector<JobHandle> submitSweep(const std::string &key,
                                        const std::vector<RunConfig> &configs,
@@ -355,12 +352,6 @@ class Session
 
     /** Jobs finished so far (monotonic). */
     std::size_t jobsCompleted() const;
-
-    /**
-     * The process-global Session backing the legacy runTrace()/runSweep()
-     * wrappers. Constructed on first use; holds no assets of its own.
-     */
-    static Session &global();
 
   private:
     void dispatcherLoop();

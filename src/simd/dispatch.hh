@@ -10,8 +10,8 @@
  * produce bit-identical filtering results; the tier only changes host
  * wall-clock, never simulated metrics.
  *
- * setActiveTier() mirrors TextureMap::setDefaultStorage(): a test hook,
- * not thread-safe, to be called before any rendering starts.
+ * setActiveTier() is a test and bench hook, not thread-safe, to be
+ * called before any rendering starts.
  */
 
 #ifndef PARGPU_SIMD_DISPATCH_HH

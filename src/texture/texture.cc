@@ -1,10 +1,6 @@
 #include "texture/texture.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/contract.hh"
-#include "common/logging.hh"
 #include "texture/mipmap.hh"
 
 namespace pargpu
@@ -12,17 +8,6 @@ namespace pargpu
 
 namespace
 {
-
-// Set once from the environment before main() and read-only after;
-// deterministic per run by construction. pargpu-analyze: allow(global-state)
-TexelStorage g_default_storage = [] {
-    const char *v = std::getenv("PARGPU_TEXEL_STORAGE");
-    if (v != nullptr && std::strcmp(v, "linear") == 0)
-        return TexelStorage::Linear;
-    if (v != nullptr && v[0] != '\0' && std::strcmp(v, "morton") != 0)
-        fatal("PARGPU_TEXEL_STORAGE must be 'linear' or 'morton'");
-    return TexelStorage::Morton;
-}();
 
 /** log2 of a power of two. */
 std::uint32_t
@@ -36,29 +21,16 @@ log2Pow2(int v)
 
 } // namespace
 
-TexelStorage
-TextureMap::defaultStorage()
-{
-    return g_default_storage;
-}
-
-void
-TextureMap::setDefaultStorage(TexelStorage s)
-{
-    g_default_storage = s;
-}
-
 TextureMap::TextureMap(int width, int height, std::vector<RGBA8> texels,
                        WrapMode wrap, TexelLayout layout,
                        StorageFormat format,
-                       std::optional<TexelStorage> storage)
+                       TexelStorage storage)
     : wrap_(wrap), layout_(layout), format_(format),
       // BC1 keeps the raster row-major: MipLevel::texels is only the
       // compression input there (compressLevel consumes row-major), and
       // every fetch goes through the BC1 blocks.
-      storage_(format == StorageFormat::BC1
-                   ? TexelStorage::Linear
-                   : storage.value_or(defaultStorage()))
+      storage_(format == StorageFormat::BC1 ? TexelStorage::Linear
+                                            : storage)
 {
     levels_ = buildMipPyramid(width, height, std::move(texels), storage_);
     Bytes offset = 0;

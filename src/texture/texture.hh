@@ -15,14 +15,16 @@
  *    only affects how fast this process can fetch texel colors. Morton
  *    storage keeps a 4x4 tile (one 64-byte simulated cache line) contiguous
  *    in host memory so a 2x2 bilinear footprint lands in one or two host
- *    cache lines. Rendered output is bit-identical across storage modes.
+ *    cache lines. Storage follows the input: Morton for RGBA8 textures,
+ *    row-major for BC1 (whose raster is only compression input) and for
+ *    levels under 4x4. Row-major RGBA8 exists only as the reference the
+ *    Morton fetches are checked against; both fetch identical colors.
  */
 
 #ifndef PARGPU_TEXTURE_TEXTURE_HH
 #define PARGPU_TEXTURE_TEXTURE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/color.hh"
@@ -125,14 +127,15 @@ class TextureMap
      * @param layout  Simulated memory layout for texel addresses.
      * @param format  Simulated storage format (BC1 pins host storage to
      *                Linear: the raster is only kept as compression input).
-     * @param storage Host-side storage order; defaults to the process-wide
-     *                defaultStorage(). Does not affect rendered output.
+     * @param storage Host-side storage order (Morton unless a test needs
+     *                the row-major reference). Does not affect rendered
+     *                output.
      */
     TextureMap(int width, int height, std::vector<RGBA8> texels,
                WrapMode wrap = WrapMode::Repeat,
                TexelLayout layout = TexelLayout::Tiled4x4,
                StorageFormat format = StorageFormat::RGBA8,
-               std::optional<TexelStorage> storage = std::nullopt);
+               TexelStorage storage = TexelStorage::Morton);
 
     int width() const { return levels_.front().width; }
     int height() const { return levels_.front().height; }
@@ -152,15 +155,6 @@ class TextureMap
 
     /** Bind the texture at @p base in the GPU address space. */
     void setBaseAddr(Addr base) { baseAddr_ = base; }
-
-    /**
-     * Process-wide host storage order for new textures. Reads
-     * PARGPU_TEXEL_STORAGE (linear|morton) on first use; defaults to
-     * Morton. setDefaultStorage() is not thread-safe: call it before
-     * building scenes.
-     */
-    static TexelStorage defaultStorage();
-    static void setDefaultStorage(TexelStorage s);
 
     /**
      * Wrap a texel coordinate into [0, extent) per the wrap mode.

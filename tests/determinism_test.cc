@@ -1,10 +1,11 @@
 /**
  * @file
- * Determinism guarantee of the parallel execution engine: runTrace() with
- * N threads must produce bit-identical FrameStats, images and aggregates
- * to the 1-thread run, runSweep() must equal per-config runTrace(), the
- * parallel SSIM path must match the serial one exactly, and small frames
- * must reproduce golden hashes recorded from an earlier engine.
+ * Determinism guarantee of the parallel execution engine: Session::run()
+ * with N threads must produce bit-identical FrameStats, images and
+ * aggregates to the 1-thread run, Session::sweep() must equal per-config
+ * Session::run(), the parallel SSIM path must match the serial one
+ * exactly, and small frames must reproduce golden hashes recorded from an
+ * earlier engine.
  */
 
 #include <bit>
@@ -16,7 +17,7 @@
 #include "common/stats.hh"
 #include "common/threadpool.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
+#include "harness/session.hh"
 #include "sim/pipeline.hh"
 #include "simd/dispatch.hh"
 
@@ -104,17 +105,19 @@ smallTrace()
 
 TEST(Determinism, RunTraceSerialVsParallelBaseline)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.threads = 1;
     RunConfig parallel_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(runTrace(trace, serial_cfg),
-                    runTrace(trace, parallel_cfg));
+    expectRunsEqual(session.run(trace, serial_cfg),
+                    session.run(trace, parallel_cfg));
 }
 
 TEST(Determinism, RunTraceSerialVsParallelPatu)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
@@ -122,25 +125,27 @@ TEST(Determinism, RunTraceSerialVsParallelPatu)
     serial_cfg.threads = 1;
     RunConfig parallel_cfg = serial_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(runTrace(trace, serial_cfg),
-                    runTrace(trace, parallel_cfg));
+    expectRunsEqual(session.run(trace, serial_cfg),
+                    session.run(trace, parallel_cfg));
 }
 
 TEST(Determinism, ThreadCountDoesNotMatter)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig cfg;
     cfg.scenario = DesignScenario::Patu;
     cfg.keep_images = false;
     cfg.threads = 2;
-    RunResult two = runTrace(trace, cfg);
+    RunResult two = session.run(trace, cfg);
     cfg.threads = 3;
-    RunResult three = runTrace(trace, cfg);
+    RunResult three = session.run(trace, cfg);
     expectRunsEqual(two, three);
 }
 
 TEST(Determinism, RunSweepMatchesRunTrace)
 {
+    Session session;
     GameTrace trace = smallTrace();
     std::vector<RunConfig> configs(3);
     configs[0].scenario = DesignScenario::Baseline;
@@ -148,12 +153,12 @@ TEST(Determinism, RunSweepMatchesRunTrace)
     configs[1].threshold = 0.4f;
     configs[2].scenario = DesignScenario::NoAF;
 
-    std::vector<RunResult> sweep = runSweep(trace, configs, 4);
+    std::vector<RunResult> sweep = session.sweep(trace, configs, 4);
     ASSERT_EQ(sweep.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         RunConfig serial = configs[i];
         serial.threads = 1;
-        expectRunsEqual(runTrace(trace, serial), sweep[i]);
+        expectRunsEqual(session.run(trace, serial), sweep[i]);
     }
 }
 
@@ -165,43 +170,46 @@ TEST(Determinism, RunSweepMatchesRunTrace)
 
 TEST(Determinism, TileParallelMatchesSerialPatu)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threshold = 0.4f;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig tile_cfg = serial_cfg;
     tile_cfg.tile_parallel = true;
     for (unsigned workers : {1u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, TileParallelMatchesSerialBaseline)
 {
+    Session session;
     // Baseline 16xAF: the texel-bound extreme, every pixel through the
     // full AF path (maximum memory-system pressure on the commit pass).
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Baseline;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig tile_cfg = serial_cfg;
     tile_cfg.tile_parallel = true;
     for (unsigned workers : {1u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, FrameParallelTimesTileParallel)
 {
+    Session session;
     // Both levels on at once: frames partitioned across the pool, each
     // frame's tiles fanned out again (the nested submit runs inline on
     // the worker — one shared pool, no oversubscription).
@@ -210,20 +218,21 @@ TEST(Determinism, FrameParallelTimesTileParallel)
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threshold = 0.4f;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig both_cfg = serial_cfg;
     both_cfg.tile_parallel = true;
     for (int threads : {2, 3, 8}) {
         both_cfg.threads = threads;
         ThreadPool::setDefaultThreads(8);
-        expectRunsEqual(ref, runTrace(trace, both_cfg));
+        expectRunsEqual(ref, session.run(trace, both_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, TileParallelOddClusterCount)
 {
+    Session session;
     // A cluster count that does not divide the tile count exercises the
     // tail of the static % clusters assignment.
     GameTrace trace = smallTrace();
@@ -231,17 +240,18 @@ TEST(Determinism, TileParallelOddClusterCount)
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threads = 1;
     serial_cfg.clusters = 3;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig tile_cfg = serial_cfg;
     tile_cfg.tile_parallel = true;
     ThreadPool::setDefaultThreads(3);
-    expectRunsEqual(ref, runTrace(trace, tile_cfg));
+    expectRunsEqual(ref, session.run(trace, tile_cfg));
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, TileParallelRegistryIdentical)
 {
+    Session session;
     // "Every exported counter": the whole StatRegistry snapshot —
     // counters, scalars (hit rates, imbalance) and histograms — must
     // serialize identically for serial and tile-parallel runs.
@@ -255,8 +265,8 @@ TEST(Determinism, TileParallelRegistryIdentical)
     tile_cfg.tile_parallel = true;
 
     ThreadPool::setDefaultThreads(4);
-    RunResult a = runTrace(trace, serial_cfg);
-    RunResult b = runTrace(trace, tile_cfg);
+    RunResult a = session.run(trace, serial_cfg);
+    RunResult b = session.run(trace, tile_cfg);
     ThreadPool::setDefaultThreads(0);
 
     StatRegistry ra, rb;
@@ -268,6 +278,7 @@ TEST(Determinism, TileParallelRegistryIdentical)
 
 TEST(Determinism, FilterPoliciesAcrossModes)
 {
+    Session session;
     // The stochastic policies draw noise only from (pixel, sample,
     // camera-hash) counters, so every execution mode must reproduce the
     // serial run bit-for-bit: thread counts, tile parallelism, and both
@@ -281,38 +292,39 @@ TEST(Determinism, FilterPoliciesAcrossModes)
         RunConfig serial_cfg;
         serial_cfg.filter_policy = policy;
         serial_cfg.threads = 1;
-        RunResult ref = runTrace(trace, serial_cfg);
+        RunResult ref = session.run(trace, serial_cfg);
 
         RunConfig frame_cfg = serial_cfg;
         for (int threads : {3, 8}) {
             frame_cfg.threads = threads;
-            expectRunsEqual(ref, runTrace(trace, frame_cfg));
+            expectRunsEqual(ref, session.run(trace, frame_cfg));
         }
 
         RunConfig tile_cfg = serial_cfg;
         tile_cfg.tile_parallel = true;
         for (unsigned workers : {1u, 3u, 8u}) {
             ThreadPool::setDefaultThreads(workers);
-            expectRunsEqual(ref, runTrace(trace, tile_cfg));
+            expectRunsEqual(ref, session.run(trace, tile_cfg));
         }
 
         RunConfig both_cfg = serial_cfg;
         both_cfg.tile_parallel = true;
         both_cfg.threads = 3;
         ThreadPool::setDefaultThreads(8);
-        expectRunsEqual(ref, runTrace(trace, both_cfg));
+        expectRunsEqual(ref, session.run(trace, both_cfg));
         ThreadPool::setDefaultThreads(0);
     }
 }
 
 TEST(Determinism, ParallelSsimMatchesSerial)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig base_cfg;
     RunConfig patu_cfg;
     patu_cfg.scenario = DesignScenario::Patu;
-    RunResult base = runTrace(trace, base_cfg);
-    RunResult patu = runTrace(trace, patu_cfg);
+    RunResult base = session.run(trace, base_cfg);
+    RunResult patu = session.run(trace, patu_cfg);
 
     ThreadPool::setDefaultThreads(1);
     std::vector<float> serial_map =
@@ -389,6 +401,7 @@ goldenHash(const RunResult &r)
 
 TEST(Determinism, GoldenOutputsSerialAndTileParallel)
 {
+    Session session;
     struct Golden
     {
         GameId game;
@@ -427,11 +440,11 @@ TEST(Determinism, GoldenOutputsSerialAndTileParallel)
         cfg.filter_policy = g.policy;
         cfg.threads = 1;
         const GameTrace &trace = g.game == GameId::HL2 ? hl2 : ut3;
-        const std::uint64_t serial = goldenHash(runTrace(trace, cfg));
+        const std::uint64_t serial = goldenHash(session.run(trace, cfg));
         EXPECT_EQ(serial, g.hash) << "serial: 0x" << std::hex << serial;
         cfg.tile_parallel = true;
         ThreadPool::setDefaultThreads(3);
-        const std::uint64_t tiled = goldenHash(runTrace(trace, cfg));
+        const std::uint64_t tiled = goldenHash(session.run(trace, cfg));
         ThreadPool::setDefaultThreads(0);
         EXPECT_EQ(tiled, g.hash) << "tile-parallel: 0x" << std::hex << tiled;
     }
@@ -462,6 +475,7 @@ runnableTiers()
 
 TEST(Determinism, SimdTierTimesExecutionMode)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
@@ -470,29 +484,30 @@ TEST(Determinism, SimdTierTimesExecutionMode)
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     for (simd::SimdTier tier : runnableTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
 
-        expectRunsEqual(ref, runTrace(trace, serial_cfg));
+        expectRunsEqual(ref, session.run(trace, serial_cfg));
 
         RunConfig tile_cfg = serial_cfg;
         tile_cfg.tile_parallel = true;
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
         ThreadPool::setDefaultThreads(0);
 
         RunConfig frame_cfg = serial_cfg;
         frame_cfg.threads = 3;
-        expectRunsEqual(ref, runTrace(trace, frame_cfg));
+        expectRunsEqual(ref, session.run(trace, frame_cfg));
     }
     simd::setActiveTier(saved);
 }
 
 TEST(Determinism, SimdTierTimesTileParallelBaseline)
 {
+    Session session;
     // The diagonal stress on Baseline 16xAF: a non-default tier on top
     // of tile parallelism.
     GameTrace trace = smallTrace();
@@ -501,7 +516,7 @@ TEST(Determinism, SimdTierTimesTileParallelBaseline)
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = runTrace(trace, cfg);
+    RunResult ref = session.run(trace, cfg);
 
     RunConfig tile_cfg = cfg;
     tile_cfg.tile_parallel = true;
@@ -509,9 +524,9 @@ TEST(Determinism, SimdTierTimesTileParallelBaseline)
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
         ThreadPool::setDefaultThreads(0);
-        expectRunsEqual(ref, runTrace(trace, cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
     }
     simd::setActiveTier(saved);
 }

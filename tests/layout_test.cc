@@ -1,11 +1,11 @@
 /**
  * @file
- * Layout-equivalence guarantee of the texel hot path: host-side texel
- * storage (Linear vs Morton) is a pure performance knob. Rendered frames
- * must be bit-identical and every simulated counter (texels, cache hits,
- * DRAM traffic, cycles) identical across storage modes, because storage
- * only reorders the host array — simulated texel addresses come from
- * TexelLayout, which is part of the modeled machine.
+ * Layout-equivalence guarantee of the texel hot path: host-side Morton
+ * texel storage must fetch exactly what the row-major reference fetches,
+ * texel for texel and footprint for footprint, because storage only
+ * reorders the host array — simulated texel addresses come from
+ * TexelLayout, which is part of the modeled machine. Rendering always
+ * uses Morton storage, so per-fetch equivalence is the whole guarantee.
  */
 
 #include <cstring>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
 #include "texture/texture.hh"
 
 using namespace pargpu;
@@ -32,30 +31,6 @@ ramp(int w, int h)
                          static_cast<std::uint8_t>((y * 7 + x) & 0xff),
                          static_cast<std::uint8_t>((x ^ y) & 0xff), 255});
     return t;
-}
-
-/** RAII guard: set the process-wide storage default, restore on exit. */
-class StorageGuard
-{
-  public:
-    explicit StorageGuard(TexelStorage s)
-        : saved_(TextureMap::defaultStorage())
-    {
-        TextureMap::setDefaultStorage(s);
-    }
-    ~StorageGuard() { TextureMap::setDefaultStorage(saved_); }
-
-  private:
-    TexelStorage saved_;
-};
-
-bool
-bitIdentical(const Image &a, const Image &b)
-{
-    if (a.width() != b.width() || a.height() != b.height())
-        return false;
-    return std::memcmp(a.pixels().data(), b.pixels().data(),
-                       a.pixels().size() * sizeof(Color4f)) == 0;
 }
 
 } // namespace
@@ -160,59 +135,5 @@ TEST(LayoutEquivalenceTest, FootprintMatchesScalarFetches)
                     EXPECT_EQ(std::memcmp(&color[i], &want, sizeof want), 0);
                 }
             }
-    }
-}
-
-TEST(LayoutEquivalenceTest, RenderedFramesBitIdenticalAcrossStorage)
-{
-    RunConfig cfg;
-    cfg.scenario = DesignScenario::Patu; // Exercises AF + decision path.
-    cfg.keep_images = true;
-    cfg.threads = 1;
-
-    std::vector<Image> lin_images, mor_images;
-    std::vector<FrameStats> lin_stats, mor_stats;
-    {
-        StorageGuard g(TexelStorage::Linear);
-        GameTrace trace = buildGameTrace(GameId::Wolf, 128, 96, 2);
-        RunResult r = runTrace(trace, cfg);
-        lin_images = std::move(r.images);
-        lin_stats = std::move(r.frames);
-    }
-    {
-        StorageGuard g(TexelStorage::Morton);
-        GameTrace trace = buildGameTrace(GameId::Wolf, 128, 96, 2);
-        RunResult r = runTrace(trace, cfg);
-        mor_images = std::move(r.images);
-        mor_stats = std::move(r.frames);
-    }
-
-    ASSERT_EQ(lin_images.size(), mor_images.size());
-    for (std::size_t f = 0; f < lin_images.size(); ++f)
-        EXPECT_TRUE(bitIdentical(lin_images[f], mor_images[f]))
-            << "frame " << f;
-
-    ASSERT_EQ(lin_stats.size(), mor_stats.size());
-    for (std::size_t f = 0; f < lin_stats.size(); ++f) {
-        const FrameStats &a = lin_stats[f];
-        const FrameStats &b = mor_stats[f];
-#define PARGPU_EQ(field) EXPECT_EQ(a.field, b.field) << #field " frame " << f
-        PARGPU_EQ(total_cycles);
-        PARGPU_EQ(texels);
-        PARGPU_EQ(trilinear_samples);
-        PARGPU_EQ(tex_lines);
-        PARGPU_EQ(memo_lookups);
-        PARGPU_EQ(memo_hits);
-        PARGPU_EQ(l1_hits);
-        PARGPU_EQ(l1_misses);
-        PARGPU_EQ(llc_hits);
-        PARGPU_EQ(llc_misses);
-        PARGPU_EQ(dram_reads);
-        PARGPU_EQ(traffic_texture);
-        PARGPU_EQ(approx_stage1);
-        PARGPU_EQ(approx_stage2);
-        PARGPU_EQ(full_af);
-        PARGPU_EQ(table_accesses);
-#undef PARGPU_EQ
     }
 }

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the Session facade (src/harness/session.hh): typed
  * Status reporting, immutable shared assets, concurrent jobs
- * bit-identical to the legacy sweep path, snapshot streaming, and job
+ * bit-identical to the borrowed-trace sweep, snapshot streaming, and job
  * handles surviving Session teardown.
  */
 
@@ -197,22 +197,23 @@ TEST(SessionTest, SubmitReportsTypedFailures)
     EXPECT_EQ(session.jobsSubmitted(), 0u);
 }
 
-TEST(SessionTest, KeyedSweepMatchesLegacyRunSweepExactly)
+TEST(SessionTest, KeyedSweepMatchesBorrowedSweepExactly)
 {
     const std::vector<RunConfig> configs = sweepConfigs();
-    // The legacy path, forced serial: the reference ordering.
-    std::vector<RunResult> legacy = runSweep(tinyTrace(), configs, 1);
-
     Session session;
+    // The borrowed-trace sweep, forced serial: the reference ordering.
+    std::vector<RunResult> borrowed =
+        session.sweep(tinyTrace(), configs, 1);
+
     ASSERT_TRUE(session.load("w", makeTiny()).ok());
     std::vector<RunResult> keyed;
     Status st = session.sweep("w", configs, &keyed);
     ASSERT_TRUE(st.ok()) << st.message;
-    ASSERT_EQ(keyed.size(), legacy.size());
+    ASSERT_EQ(keyed.size(), borrowed.size());
     // Byte-identical through the exporter: metrics JSON, counters and
     // aggregates, plus raw images (the acceptance criterion).
     for (std::size_t i = 0; i < keyed.size(); ++i)
-        expectRunsIdentical(configs[i], keyed[i], legacy[i]);
+        expectRunsIdentical(configs[i], keyed[i], borrowed[i]);
 
     Status missing = session.sweep("missing", configs, nullptr);
     EXPECT_EQ(missing.code, StatusCode::UnknownTrace);
@@ -221,11 +222,12 @@ TEST(SessionTest, KeyedSweepMatchesLegacyRunSweepExactly)
 TEST(SessionTest, ConcurrentSubmitBitIdenticalToSerialSweep)
 {
     const std::vector<RunConfig> configs = sweepConfigs();
-    std::vector<RunResult> legacy = runSweep(tinyTrace(), configs, 1);
-
     // Four dispatchers so jobs genuinely overlap (each additionally
     // fans frames onto the shared pool).
     Session session(SessionOptions{4});
+    std::vector<RunResult> borrowed =
+        session.sweep(tinyTrace(), configs, 1);
+
     ASSERT_TRUE(session.load("w", makeTiny()).ok());
     Status st;
     std::vector<JobHandle> jobs = session.submitSweep("w", configs, &st);
@@ -235,7 +237,7 @@ TEST(SessionTest, ConcurrentSubmitBitIdenticalToSerialSweep)
         jobs[i]->wait();
         EXPECT_EQ(jobs[i]->state(), Job::State::Done);
         EXPECT_EQ(jobs[i]->framesCompleted(), jobs[i]->framesTotal());
-        expectRunsIdentical(configs[i], jobs[i]->result(), legacy[i]);
+        expectRunsIdentical(configs[i], jobs[i]->result(), borrowed[i]);
     }
     EXPECT_EQ(session.jobsSubmitted(), configs.size());
     EXPECT_EQ(session.jobsCompleted(), configs.size());
@@ -294,13 +296,4 @@ TEST(SessionTest, JobHandlesSurviveSessionTeardown)
     cfg.keep_images = false;
     expectRunsIdentical(cfg, jobs.front()->result(),
                         jobs.back()->result());
-}
-
-TEST(SessionTest, LegacyWrappersForwardToGlobalSession)
-{
-    RunConfig cfg;
-    cfg.keep_images = false;
-    RunResult via_legacy = runTrace(tinyTrace(), cfg);
-    RunResult via_session = Session::global().run(tinyTrace(), cfg);
-    expectRunsIdentical(cfg, via_legacy, via_session);
 }

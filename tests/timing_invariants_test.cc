@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 
@@ -23,21 +23,23 @@ trace()
 double
 cyclesAt(DesignScenario s, float threshold)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = s;
     cfg.threshold = threshold;
     cfg.keep_images = false;
-    return runTrace(trace(), cfg).avg_cycles;
+    return session.run(trace(), cfg).avg_cycles;
 }
 
 FrameStats
 statsAt(DesignScenario s, float threshold = 0.4f)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = s;
     cfg.threshold = threshold;
     cfg.keep_images = false;
-    return runTrace(trace(), cfg).frames[0];
+    return session.run(trace(), cfg).frames[0];
 }
 
 } // namespace

@@ -27,7 +27,7 @@ clang-tidy covers out of the box:
                (src/texture/filter_policy.cc) must have its name
                documented in docs/FILTERING.md
   session-doc  every facade header under include/ must declare its
-               Session-vs-legacy status with a "Session-status:" line in
+               relation to Session with a "Session-status:" line in
                its opening doc comment (docs/API.md explains the terms)
 
 One rule runs over examples/ and bench/ instead of src/:
@@ -187,7 +187,7 @@ def check_file(root, rel, violations, metrics_doc):
                 (rel, 1, "file-doc",
                  "header lacks an @file doc comment in its first 20 lines"))
         # session-doc: facade headers must say where they stand relative
-        # to the Session API ("session", "legacy-shim", "neutral", ...)
+        # to the Session API ("session", "neutral", "umbrella")
         # so consumers reading any pargpu/ header learn which execution
         # surface it belongs to.
         if rel.replace(os.sep, "/").startswith("include/"):
