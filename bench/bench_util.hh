@@ -13,8 +13,10 @@
 #ifndef PARGPU_BENCH_BENCH_UTIL_HH
 #define PARGPU_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -33,13 +35,27 @@ fullRes()
     return v && v[0] == '1';
 }
 
-/** Frames per game trace (PARGPU_FRAMES, default 2). */
+/**
+ * Frames per game trace: PARGPU_FRAMES when set, else 2. A set value
+ * must be a positive integer (all of it, std::from_chars); anything else
+ * exits 2 naming the value.
+ */
 inline int
 numFrames()
 {
     const char *v = std::getenv("PARGPU_FRAMES");
-    int n = v ? std::atoi(v) : 2;
-    return n > 0 ? n : 2;
+    if (v == nullptr || v[0] == '\0')
+        return 2;
+    const char *end = v + std::strlen(v);
+    int n = 0;
+    const std::from_chars_result r = std::from_chars(v, end, n);
+    if (r.ec != std::errc{} || r.ptr != end || n < 1) {
+        std::fprintf(stderr,
+                     "PARGPU_FRAMES must be a positive integer, got '%s'\n",
+                     v);
+        std::exit(2);
+    }
+    return n;
 }
 
 /** Scale a paper resolution down unless full-res mode is on. */

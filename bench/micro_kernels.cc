@@ -58,57 +58,6 @@ BM_AnisotropicFilter(benchmark::State &state)
 }
 BENCHMARK(BM_AnisotropicFilter)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-/**
- * The SoA weight-accumulation kernel, each dispatch tier head-to-head on
- * an identical full batch (8 slots x kMaxLanes lanes). Arg is the tier
- * (0 scalar, 1 SSE, 2 AVX2); tiers this build or CPU cannot run report
- * an "unavailable" label instead of numbers.
- */
-void
-BM_KernelAccumulate(benchmark::State &state)
-{
-    const auto tier = static_cast<simd::SimdTier>(state.range(0));
-    if (static_cast<int>(tier) > static_cast<int>(simd::detectTier())) {
-        for (auto _ : state) {
-        }
-        state.SetLabel(std::string(simd::tierName(tier)) +
-                       " unavailable");
-        return;
-    }
-    const simd::SimdTier saved = simd::activeTier();
-    simd::setActiveTier(tier);
-    const simd::KernelOps &ops = simd::activeKernels();
-
-    static simd::TexelBatch tex;
-    static simd::WeightBatch wgt;
-    SplitMix64 rng(6);
-    for (int s = 0; s < simd::kMaxSlots; ++s) {
-        for (int j = 0; j < simd::kMaxLanes; ++j) {
-            tex.r[s][j] = rng.nextFloat();
-            tex.g[s][j] = rng.nextFloat();
-            tex.b[s][j] = rng.nextFloat();
-            tex.a[s][j] = rng.nextFloat();
-            wgt.w[s][j] = rng.nextFloat() * 0.125f;
-        }
-    }
-    alignas(32) float out_r[simd::kMaxLanes];
-    alignas(32) float out_g[simd::kMaxLanes];
-    alignas(32) float out_b[simd::kMaxLanes];
-    alignas(32) float out_a[simd::kMaxLanes];
-
-    for (auto _ : state) {
-        ops.accumulate(tex, wgt, simd::kMaxSlots, simd::kMaxLanes, out_r,
-                       out_g, out_b, out_a);
-        benchmark::DoNotOptimize(out_r[0]);
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * simd::kMaxLanes *
-                            simd::kMaxSlots);
-    state.SetLabel(ops.name);
-    simd::setActiveTier(saved);
-}
-BENCHMARK(BM_KernelAccumulate)->Arg(0)->Arg(1)->Arg(2);
-
 void
 BM_HashTableInsert(benchmark::State &state)
 {
@@ -176,7 +125,9 @@ BENCHMARK(BM_SsimMap)->Arg(64)->Arg(256);
 /**
  * Tier head-to-head for the 2x2 edge-function kernel: one full
  * triangle's worth of quads per iteration, the per-quad work of the
- * rasterizer inner loop.
+ * rasterizer inner loop. Arg is the tier, as in every tier benchmark
+ * below (0 scalar, 2 AVX2); a tier this build or CPU cannot run reports
+ * an "unavailable" label instead of numbers.
  */
 void
 BM_EdgeQuad(benchmark::State &state)
@@ -233,7 +184,7 @@ BM_EdgeQuad(benchmark::State &state)
     state.SetLabel(ops.name);
     simd::setActiveTier(saved);
 }
-BENCHMARK(BM_EdgeQuad)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_EdgeQuad)->Arg(0)->Arg(2);
 
 /**
  * Tier head-to-head for the framebuffer fill kernels: clear one
@@ -271,7 +222,7 @@ BM_FbClear(benchmark::State &state)
     state.SetLabel(ops.name);
     simd::setActiveTier(saved);
 }
-BENCHMARK(BM_FbClear)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FbClear)->Arg(0)->Arg(2);
 
 /**
  * Tier head-to-head for the SSIM separable-blur row kernel: one
@@ -315,7 +266,7 @@ BM_SsimRow(benchmark::State &state)
     state.SetLabel(ops.name);
     simd::setActiveTier(saved);
 }
-BENCHMARK(BM_SsimRow)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SsimRow)->Arg(0)->Arg(2);
 
 } // namespace
 

@@ -91,13 +91,7 @@ main()
     const simd::SimdTier saved = simd::activeTier();
 
     std::vector<simd::SimdTier> tiers{simd::SimdTier::Scalar};
-    if (simd::hostHasSse() &&
-        static_cast<int>(simd::detectTier()) >=
-            static_cast<int>(simd::SimdTier::Sse))
-        tiers.push_back(simd::SimdTier::Sse);
-    if (simd::hostHasAvx2() &&
-        static_cast<int>(simd::detectTier()) >=
-            static_cast<int>(simd::SimdTier::Avx2))
+    if (simd::detectTier() == simd::SimdTier::Avx2)
         tiers.push_back(simd::SimdTier::Avx2);
 
     session.run(trace, cfg); // Warm-up outside every timed region.

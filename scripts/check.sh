@@ -17,13 +17,12 @@
 #    8. perf gate: perf_smoke's texel-bound export and perf_tile's
 #       tile-parallel export diffed against the committed baselines
 #       (bench/baselines/) with --fail-on-regress
-#    9. SIMD bit-identity: -DPARGPU_SIMD=OFF build vs the ON build —
-#       determinism subset + simd_kernel_test under both, then the
-#       harness metrics exports diffed field-by-field (only the
-#       dispatch-reporting fields may differ); then the ON build re-run
-#       with each runnable tier forced via PARGPU_SIMD, serially and
-#       with PARGPU_TILE_PARALLEL=1, diffed the same way (forced tiers
-#       may change only the dispatch fields, the driver nothing)
+#    9. SIMD bit-identity: determinism subset + simd_kernel_test, then
+#       the harness metrics export re-run with each tier (scalar, and
+#       avx2 when the CPU has it) forced via PARGPU_SIMD, serially and
+#       with PARGPU_TILE_PARALLEL=1, diffed field-by-field against the
+#       scalar serial run (forced tiers may change only the dispatch
+#       fields, the driver nothing)
 #   10. pargpu-analyze (concurrency & determinism AST rules) plus the
 #       fixture selftest that proves every rule fires
 #   11. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
@@ -202,30 +201,16 @@ stage_perf() {
 }
 
 stage_simd_identity() {
-    # The scalar-only build must render the same frames and register the
-    # same metrics as the SIMD build; only the dispatch-reporting fields
-    # (run.simd_dispatch, registry simd.dispatch / texunit.simd_width)
-    # may differ. build-perf is the ON build (the knob defaults to ON).
-    cmake -B build-simd-off -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPARGPU_SIMD=OFF >build-simd-off.configure.log 2>&1 \
-        || { cat build-simd-off.configure.log >&2; return 1; }
-    cmake --build build-simd-off -j "$JOBS" \
-        --target determinism_test simd_kernel_test pargpu_harness
+    # Every tier must render the same frames and register the same
+    # metrics; only the dispatch-reporting fields (run.simd_dispatch,
+    # registry simd.dispatch / texunit.simd_width) may differ. The scalar
+    # tier forced at run time is the configuration non-x86 targets build.
     cmake --build build-perf -j "$JOBS" \
         --target determinism_test simd_kernel_test pargpu_harness
-    ctest --test-dir build-simd-off --output-on-failure -j "$JOBS" \
-        -R "determinism_test|simd_kernel_test"
     ctest --test-dir build-perf --output-on-failure -j "$JOBS" \
         -R "determinism_test|simd_kernel_test"
-    local simd_diff="$ROOT/build-simd-off/simd-diff"
+    local simd_diff="$ROOT/build-perf/simd-diff"
     mkdir -p "$simd_diff"
-    local build
-    for build in build-simd-off build-perf; do
-        "$ROOT/$build/src/harness/pargpu_harness" \
-            --run-game wolf --run-scenario patu \
-            --run-width 160 --run-height 120 --run-frames 2 --quiet \
-            --metrics-json "$simd_diff/$build.json"
-    done
     # Shared field-by-field diff: --allow names the exact keys that may
     # differ.
     cat >"$simd_diff/diff.py" <<'EOF'
@@ -264,13 +249,10 @@ EOF
     local dispatch_allow=(--allow run/simd_dispatch
         --allow registry/scalars/simd.dispatch
         --allow registry/scalars/texunit.simd_width)
-    python3 "$simd_diff/diff.py" \
-        "$simd_diff/build-simd-off.json" "$simd_diff/build-perf.json" \
-        --label "SIMD OFF/ON" "${dispatch_allow[@]}"
-    # Forced-tier matrix on the ON build: every runnable tier, under the
-    # inline and the tile-parallel driver of the fragment engine, must
-    # export the scalar inline run's numbers (dispatch fields aside).
-    local tiers="scalar sse"
+    # Forced-tier matrix: every runnable tier, under the inline and the
+    # tile-parallel driver of the fragment engine, must export the scalar
+    # inline run's numbers (dispatch fields aside).
+    local tiers="scalar"
     if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
         tiers="$tiers avx2"
     fi
@@ -430,7 +412,7 @@ run_stage "5/13 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
 run_stage "6/13 pargpu-lint" stage_lint
 run_stage "7/13 clang-tidy" stage_tidy
 run_stage "8/13 perf gate (texel + tile vs baselines)" stage_perf
-run_stage "9/13 SIMD bit-identity (-DPARGPU_SIMD=OFF vs ON)" stage_simd_identity
+run_stage "9/13 SIMD bit-identity (forced tiers x tile-parallel)" stage_simd_identity
 run_stage "10/13 pargpu-analyze + fixture selftest" stage_analyze
 run_stage "11/13 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
 run_stage "12/13 filter-policy matrix (determinism + schema)" stage_policy_matrix

@@ -1,5 +1,6 @@
 #include "common/image.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -72,6 +73,31 @@ readToken(std::FILE *f, char *buf, std::size_t cap)
     return n > 0;
 }
 
+// Read the next token as an int; all of it must be the number.
+bool
+readInt(std::FILE *f, int &out)
+{
+    char tok[32];
+    if (!readToken(f, tok, sizeof(tok)))
+        return false;
+    const char *end = tok + std::strlen(tok);
+    const std::from_chars_result r = std::from_chars(tok, end, out);
+    return r.ec == std::errc{} && r.ptr == end;
+}
+
+// Bytes from the current position to the end of @p f, or -1.
+long
+bytesLeft(std::FILE *f)
+{
+    const long pos = std::ftell(f);
+    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
+        return -1;
+    const long end = std::ftell(f);
+    if (end < pos || std::fseek(f, pos, SEEK_SET) != 0)
+        return -1;
+    return end - pos;
+}
+
 } // namespace
 
 Image
@@ -86,13 +112,16 @@ Image::readPPM(const std::string &path)
         return {};
     }
     int w = 0, h = 0, maxval = 0;
-    if (!readToken(f, tok, sizeof(tok))) { std::fclose(f); return {}; }
-    w = std::atoi(tok);
-    if (!readToken(f, tok, sizeof(tok))) { std::fclose(f); return {}; }
-    h = std::atoi(tok);
-    if (!readToken(f, tok, sizeof(tok))) { std::fclose(f); return {}; }
-    maxval = std::atoi(tok);
-    if (w <= 0 || h <= 0 || maxval != 255) {
+    if (!readInt(f, w) || !readInt(f, h) || !readInt(f, maxval) ||
+        w <= 0 || h <= 0 || maxval != 255) {
+        std::fclose(f);
+        return {};
+    }
+    // The header is untrusted: allocate only what the file can fill.
+    const long left = bytesLeft(f);
+    if (left < 0 ||
+        static_cast<unsigned long long>(w) * static_cast<unsigned>(h) * 3 >
+            static_cast<unsigned long long>(left)) {
         std::fclose(f);
         return {};
     }

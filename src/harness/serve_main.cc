@@ -10,6 +10,7 @@
  * BENCH_serve.json measures.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -48,13 +49,20 @@ main(int argc, char **argv)
             return 0;
         }
         if (std::strcmp(argv[i], "--job-workers") == 0 && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 1 || v > 4096) {
+            // All of the value must be the number (std::from_chars, as
+            // pargpu_harness parses its --run-* flags).
+            const char *v = argv[++i];
+            const char *end = v + std::strlen(v);
+            int n = 0;
+            const std::from_chars_result r = std::from_chars(v, end, n);
+            if (r.ec != std::errc{} || r.ptr != end || n < 1 || n > 4096) {
                 std::fprintf(stderr,
-                             "--job-workers must be in [1, 4096]\n");
+                             "invalid value for --job-workers: '%s' (an "
+                             "integer in [1, 4096])\n",
+                             v);
                 return 2;
             }
-            options.job_workers = static_cast<unsigned>(v);
+            options.job_workers = static_cast<unsigned>(n);
             continue;
         }
         std::fprintf(stderr, "unknown option '%s'\n", argv[i]);

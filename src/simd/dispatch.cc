@@ -13,7 +13,7 @@ namespace pargpu::simd
 namespace
 {
 
-/** True when this build compiled the vector kernels (-DPARGPU_SIMD=ON). */
+/** True when this build compiled the AVX2 kernels (x86 targets). */
 constexpr bool
 buildHasVectorKernels()
 {
@@ -31,9 +31,7 @@ validateTier(SimdTier t)
     if (t != SimdTier::Scalar && !buildHasVectorKernels())
         fatal(std::string("PARGPU_SIMD tier '") + tierName(t) +
               "' requested but this build compiled scalar kernels only "
-              "(-DPARGPU_SIMD=OFF)");
-    if (t == SimdTier::Sse && !hostHasSse())
-        fatal("PARGPU_SIMD=sse requested but the CPU lacks SSE2");
+              "(non-x86 target)");
     if (t == SimdTier::Avx2 && !hostHasAvx2())
         fatal("PARGPU_SIMD=avx2 requested but the CPU lacks AVX2");
     return t;
@@ -47,11 +45,10 @@ SimdTier g_tier = [] {
         return detectTier();
     if (std::strcmp(v, "scalar") == 0)
         return SimdTier::Scalar;
-    if (std::strcmp(v, "sse") == 0)
-        return validateTier(SimdTier::Sse);
     if (std::strcmp(v, "avx2") == 0)
         return validateTier(SimdTier::Avx2);
-    fatal("PARGPU_SIMD must be 'scalar', 'sse' or 'avx2'");
+    fatal(std::string("PARGPU_SIMD must be 'scalar' or 'avx2', got '") + v +
+          "'");
 }();
 
 } // namespace
@@ -79,12 +76,8 @@ hostHasAvx2()
 SimdTier
 detectTier()
 {
-    if (!buildHasVectorKernels())
-        return SimdTier::Scalar;
-    if (hostHasAvx2())
+    if (buildHasVectorKernels() && hostHasAvx2())
         return SimdTier::Avx2;
-    if (hostHasSse())
-        return SimdTier::Sse;
     return SimdTier::Scalar;
 }
 
@@ -105,7 +98,6 @@ tierName(SimdTier t)
 {
     switch (t) {
     case SimdTier::Scalar: return "scalar";
-    case SimdTier::Sse: return "sse";
     case SimdTier::Avx2: return "avx2";
     }
     return "unknown";
@@ -114,23 +106,15 @@ tierName(SimdTier t)
 int
 tierLanes(SimdTier t)
 {
-    switch (t) {
-    case SimdTier::Sse: return 4;
-    case SimdTier::Avx2: return 8;
-    case SimdTier::Scalar: break;
-    }
-    return 1;
+    return t == SimdTier::Avx2 ? 8 : 1;
 }
 
 const KernelOps &
 activeKernels()
 {
 #ifdef PARGPU_SIMD_ENABLED
-    switch (g_tier) {
-    case SimdTier::Sse: return sseKernels();
-    case SimdTier::Avx2: return avx2Kernels();
-    case SimdTier::Scalar: break;
-    }
+    if (g_tier == SimdTier::Avx2)
+        return avx2Kernels();
 #endif
     return scalarKernels();
 }

@@ -2,13 +2,13 @@
  * @file
  * Runtime instruction-set dispatch for the SoA filtering kernels.
  *
- * The kernel layer ships one scalar reference implementation plus SSE and
- * AVX2 variants (compiled only with -DPARGPU_SIMD=ON). The process-wide
- * active tier is chosen once: the PARGPU_SIMD environment variable
- * (scalar|sse|avx2) when set — fatal if it names a tier this build or CPU
- * cannot run — otherwise the widest tier the host CPU supports. All tiers
- * produce bit-identical filtering results; the tier only changes host
- * wall-clock, never simulated metrics.
+ * The kernel layer ships one scalar reference implementation plus an AVX2
+ * variant (compiled on x86 targets only). The process-wide active tier is
+ * chosen once: the PARGPU_SIMD environment variable (scalar|avx2) when
+ * set — fatal if it names a tier this build or CPU cannot run — otherwise
+ * AVX2 when the build and CPU support it, else scalar. Both tiers produce
+ * bit-identical results; the tier only changes host wall-clock, never
+ * simulated metrics.
  *
  * setActiveTier() is a test and bench hook, not thread-safe, to be
  * called before any rendering starts.
@@ -20,15 +20,18 @@
 namespace pargpu::simd
 {
 
-/** Instruction-set tier of a kernel implementation. */
+/**
+ * Instruction-set tier of a kernel implementation. The values are
+ * exported as `simd.dispatch` and stay pinned (1 was the retired SSE
+ * tier).
+ */
 enum class SimdTier
 {
-    Scalar, ///< Portable reference (always available).
-    Sse,    ///< 4-lane SSE2 (x86-64 baseline).
-    Avx2,   ///< 8-lane AVX2.
+    Scalar = 0, ///< Portable reference (always available).
+    Avx2 = 2,   ///< 8-lane AVX2.
 };
 
-/** Widest tier this build and the host CPU can run. */
+/** AVX2 when this build and the host CPU can run it, else scalar. */
 SimdTier detectTier();
 
 /**
@@ -43,13 +46,13 @@ SimdTier activeTier();
  */
 void setActiveTier(SimdTier t);
 
-/** "scalar" | "sse" | "avx2". */
+/** "scalar" | "avx2". */
 const char *tierName(SimdTier t);
 
-/** Vector width of a tier in samples (scalar 1, SSE 4, AVX2 8). */
+/** Vector width of a tier in samples (scalar 1, AVX2 8). */
 int tierLanes(SimdTier t);
 
-/** Raw host CPUID feature flags (independent of the build knob). */
+/** Raw host CPUID feature flags (independent of what the build compiled). */
 bool hostHasSse();
 bool hostHasAvx2();
 

@@ -11,7 +11,7 @@
 // dispatch needed. Each channel's lane runs the exact scalar chain
 // (separate mulps/addps in slot order — no FMA at this ISA level), so
 // the colors are bit-identical to the scalar fallback and independent
-// of the PARGPU_SIMD tier and build knob.
+// of the PARGPU_SIMD tier.
 #if defined(__SSE2__)
 #define PARGPU_FILTER_SSE 1
 #include <emmintrin.h>
@@ -55,8 +55,7 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
     // sample's channels are independent, so vectorizing ACROSS channels
     // leaves each channel's slot-order multiply-add chain untouched:
     // the color is bit-identical to the scalar fallback below, on every
-    // dispatch tier, with none of the slot-major staging traffic the
-    // previous kernel round-trip paid (~40 stores + reloads per sample).
+    // dispatch tier.
     for (int i = 0; i < n; ++i) {
 #if PARGPU_FILTER_SSE
         __m128 acc = _mm_setzero_ps();

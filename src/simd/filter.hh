@@ -8,11 +8,10 @@
  * FootprintMemo, misses fetched block-at-a-time through
  * TextureMap::fetchFootprint — and accumulates each sample's RGBA in a
  * single 4-wide register (one lane per channel), fused into the gather
- * loop. The slot-major SoA staging + accumulate-kernel round-trip lives
- * on in kernels.hh for workloads that batch wider than a sample.
+ * loop.
  *
  * Everything observable is bit-identical to the scalar sampler paths:
- * the per-sample FP accumulation chain (see kernels.hh), the TexelRef
+ * the per-sample FP accumulation chain (filter.cc), the TexelRef
  * streams, and the memo lookup/store sequence (which drives the
  * texunit.memo_* counters) are all preserved exactly.
  */
@@ -25,11 +24,16 @@
 #include "common/color.hh"
 #include "common/types.hh"
 #include "common/vec.hh"
-#include "simd/batch.hh"
 #include "texture/sampler.hh"
 
 namespace pargpu::simd
 {
+
+/**
+ * Widest batch: a whole quad's anisotropic samples in one filterSamples()
+ * call (4 pixels x 16x max anisotropy).
+ */
+inline constexpr int kMaxLanes = 64;
 
 /**
  * Per-texture-unit batch filter; allocation-free. Not thread-safe —

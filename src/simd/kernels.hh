@@ -1,22 +1,14 @@
 /**
  * @file
- * The SoA kernel family behind the per-frame hot path: texel weight
- * accumulation, 2x2 edge-function rasterization, framebuffer fills /
- * depth tests / scatters, and the SSIM separable-blur row reduction.
+ * The SoA kernel family behind the per-frame hot path: 2x2 edge-function
+ * rasterization, framebuffer fills / depth tests / scatters, and the SSIM
+ * separable-blur row reduction. (The texel blend itself lives in
+ * QuadFilter, simd/filter.hh.)
  *
- * One accumulation shape serves all three filters: bilinear is a 4-slot
- * accumulation, trilinear an 8-slot one, and anisotropic filtering an
- * 8-slot accumulation over N lanes (one lane per AF sample). Each lane j
- * computes, per channel,
- *
- *     out[j] = sum over s in [0, slots) of color[s][j] * weight[s][j]
- *
- * accumulated from 0.0f in slot order with separate multiply and add —
- * the exact FP operation chain of the scalar reference
- * (TextureSampler::trilinearInto), so every tier is bit-identical. The
- * same discipline governs every kernel here: the scalar member is the
- * reference chain, the vector variants parallelize across lanes only,
- * and none uses FMA or reassociates.
+ * Every kernel follows one discipline: the scalar member is the reference
+ * FP operation chain, and the AVX2 variant parallelizes across lanes only
+ * — separate multiply and add in the reference order, never FMA, never
+ * reassociated — so both tiers are bit-identical.
  *
  * This header is deliberately free of intrinsics and of inline float
  * math: the AVX2 translation unit is compiled with -mavx2, and anything
@@ -25,8 +17,6 @@
 
 #ifndef PARGPU_SIMD_KERNELS_HH
 #define PARGPU_SIMD_KERNELS_HH
-
-#include "simd/batch.hh"
 
 namespace pargpu::simd
 {
@@ -62,18 +52,6 @@ struct EdgeQuadOut
 /** One tier's kernel implementations (see activeKernels()). */
 struct KernelOps
 {
-    /**
-     * Accumulate @p slots texels per lane over lanes [0, lanes).
-     *
-     * Output arrays must hold kMaxLanes floats, 32-byte aligned; lanes
-     * are processed in vector-width chunks, so up to the next multiple
-     * of the width of pad lanes are read (callers zero their weights)
-     * and written beyond @p lanes.
-     */
-    void (*accumulate)(const TexelBatch &tex, const WeightBatch &wgt,
-                       int slots, int lanes, float *out_r, float *out_g,
-                       float *out_b, float *out_a);
-
     /**
      * Evaluate the 2x2 quad at (qx, qy) against @p tri, windowed to
      * pixels [x0, x1] x [y0, y1] inclusive. All four lanes get
@@ -126,17 +104,13 @@ struct KernelOps
     void (*ssim_row)(const float *src, float *out, int n, int stride,
                      const float *k, int taps, float wsum);
 
-    int lanes;        ///< Vector width in samples.
     const char *name; ///< Matches tierName().
 };
 
 /** The scalar reference kernels (always available). */
 const KernelOps &scalarKernels();
 
-/** SSE kernels; defined only in -DPARGPU_SIMD=ON builds. */
-const KernelOps &sseKernels();
-
-/** AVX2 kernels; defined only in -DPARGPU_SIMD=ON builds. */
+/** AVX2 kernels; defined only in x86 builds. */
 const KernelOps &avx2Kernels();
 
 /** Kernels of the process-wide active tier (dispatch.hh). */

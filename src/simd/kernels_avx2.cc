@@ -11,43 +11,14 @@ namespace
 {
 
 /**
- * 8 lanes per step. vmulps + vaddps, never vfmadd (the build does not
- * enable FMA and the intrinsics are not contractable), so each lane's
- * chain is bit-identical to accumulateScalar().
- */
-void
-accumulateAvx2(const TexelBatch &tex, const WeightBatch &wgt, int slots,
-               int lanes, float *out_r, float *out_g, float *out_b,
-               float *out_a)
-{
-    for (int j = 0; j < lanes; j += 8) {
-        __m256 r = _mm256_setzero_ps();
-        __m256 g = _mm256_setzero_ps();
-        __m256 b = _mm256_setzero_ps();
-        __m256 a = _mm256_setzero_ps();
-        for (int s = 0; s < slots; ++s) {
-            const __m256 w = _mm256_load_ps(&wgt.w[s][j]);
-            r = _mm256_add_ps(
-                r, _mm256_mul_ps(_mm256_load_ps(&tex.r[s][j]), w));
-            g = _mm256_add_ps(
-                g, _mm256_mul_ps(_mm256_load_ps(&tex.g[s][j]), w));
-            b = _mm256_add_ps(
-                b, _mm256_mul_ps(_mm256_load_ps(&tex.b[s][j]), w));
-            a = _mm256_add_ps(
-                a, _mm256_mul_ps(_mm256_load_ps(&tex.a[s][j]), w));
-        }
-        _mm256_store_ps(out_r + j, r);
-        _mm256_store_ps(out_g + j, g);
-        _mm256_store_ps(out_b + j, b);
-        _mm256_store_ps(out_a + j, a);
-    }
-}
-
-/**
- * A 2x2 quad is exactly one 4-lane vector, so the AVX2 tier evaluates
- * it at SSE width — VEX-encoded here, but the same fixed vsubps/vmulps/
- * vaddps/vdivps chain as the SSE tier, hence bit-identical to the
- * scalar reference (see kernels_sse.cc for the chain notes).
+ * A 2x2 quad is exactly one 4-lane vector, so this kernel runs at
+ * 128-bit width (VEX-encoded). Every step is the scalar chain's
+ * operation: vsubps/vmulps/vaddps in the same order (fixed instructions,
+ * so no contraction to FMA), vdivps for the reciprocal (IEEE correctly
+ * rounded, so it equals the scalar 1.0f/x), and vcmpneqps keeping the
+ * unordered semantics of the scalar != guard. The window test is integer
+ * and computed outside the vector path, exactly as the scalar kernel
+ * evaluates it.
  */
 void
 edgeQuadAvx2(const EdgeTri &tri, int qx, int qy, int x0, int y0, int x1,
@@ -136,7 +107,13 @@ fillDepthAvx2(float *dst, int count, float value)
         dst[i] = value;
 }
 
-/** SSE-width body (one quad is 4 lanes); see kernels_sse.cc notes. */
+/**
+ * 128-bit body (one quad is 4 lanes). vcmpltps is the scalar
+ * depth < stored compare per lane; the and/andnot select stores the new
+ * depth on pass lanes and rewrites the original bits on fail lanes (the
+ * quad is fully in-window, so every lane's pixel belongs to this tile's
+ * owner).
+ */
 unsigned
 depthQuadAvx2(float *row0, float *row1, const float *depth)
 {
@@ -173,6 +150,12 @@ scatterQuadAvx2(float *row0, float *row1, const float *rgba, unsigned mask)
     }
 }
 
+/**
+ * 8 outputs per step. vmulps + vaddps in ascending tap order, never
+ * vfmadd (the build does not enable FMA and the intrinsics are not
+ * contractable), then one vdivps, so each lane's chain is bit-identical
+ * to ssimRowScalar(); the tail runs that scalar chain itself.
+ */
 void
 ssimRowAvx2(const float *src, float *out, int n, int stride,
             const float *k, int taps, float wsum)
@@ -201,9 +184,10 @@ ssimRowAvx2(const float *src, float *out, int n, int stride,
 const KernelOps &
 avx2Kernels()
 {
-    static const KernelOps ops{accumulateAvx2, edgeQuadAvx2, fillColorAvx2,
-                               fillDepthAvx2,  depthQuadAvx2,
-                               scatterQuadAvx2, ssimRowAvx2, 8, "avx2"};
+    static const KernelOps ops{edgeQuadAvx2,    fillColorAvx2,
+                               fillDepthAvx2,   depthQuadAvx2,
+                               scatterQuadAvx2, ssimRowAvx2,
+                               "avx2"};
     return ops;
 }
 

@@ -7,32 +7,6 @@ namespace
 {
 
 /**
- * The reference accumulation: per lane, a single multiply-add chain over
- * the slots, per channel. Every vector kernel must reproduce this chain
- * bit-for-bit (same order, no FMA, no reassociation).
- */
-void
-accumulateScalar(const TexelBatch &tex, const WeightBatch &wgt, int slots,
-                 int lanes, float *out_r, float *out_g, float *out_b,
-                 float *out_a)
-{
-    for (int j = 0; j < lanes; ++j) {
-        float r = 0.0f, g = 0.0f, b = 0.0f, a = 0.0f;
-        for (int s = 0; s < slots; ++s) {
-            const float w = wgt.w[s][j];
-            r += tex.r[s][j] * w;
-            g += tex.g[s][j] * w;
-            b += tex.b[s][j] * w;
-            a += tex.a[s][j] * w;
-        }
-        out_r[j] = r;
-        out_g[j] = g;
-        out_b[j] = b;
-        out_a[j] = a;
-    }
-}
-
-/**
  * The reference 2x2 quad evaluation: the per-pixel loop body that lived
  * inline in rasterizeTriangle(), verbatim. Vector tiers evaluate the
  * same chain with one lane per pixel.
@@ -140,10 +114,9 @@ ssimRowScalar(const float *src, float *out, int n, int stride,
 const KernelOps &
 scalarKernels()
 {
-    static const KernelOps ops{accumulateScalar, edgeQuadScalar,
-                               fillColorScalar, fillDepthScalar,
-                               depthQuadScalar, scatterQuadScalar,
-                               ssimRowScalar,   1,
+    static const KernelOps ops{edgeQuadScalar,  fillColorScalar,
+                               fillDepthScalar, depthQuadScalar,
+                               scatterQuadScalar, ssimRowScalar,
                                "scalar"};
     return ops;
 }

@@ -463,10 +463,7 @@ std::vector<simd::SimdTier>
 runnableTiers()
 {
     std::vector<simd::SimdTier> tiers{simd::SimdTier::Scalar};
-    const auto top = static_cast<int>(simd::detectTier());
-    if (top >= static_cast<int>(simd::SimdTier::Sse))
-        tiers.push_back(simd::SimdTier::Sse);
-    if (top >= static_cast<int>(simd::SimdTier::Avx2))
+    if (simd::detectTier() == simd::SimdTier::Avx2)
         tiers.push_back(simd::SimdTier::Avx2);
     return tiers;
 }

