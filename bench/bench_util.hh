@@ -27,12 +27,20 @@
 namespace pargpu::bench
 {
 
-/** True when PARGPU_FULLRES=1: use the paper's native resolutions. */
+/**
+ * True when PARGPU_FULLRES=1: use the paper's native resolutions. Unset,
+ * empty or 0 is off; any other value exits 2 naming the value.
+ */
 inline bool
 fullRes()
 {
     const char *v = std::getenv("PARGPU_FULLRES");
-    return v && v[0] == '1';
+    if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0)
+        return false;
+    if (std::strcmp(v, "1") == 0)
+        return true;
+    std::fprintf(stderr, "PARGPU_FULLRES must be 0 or 1, got '%s'\n", v);
+    std::exit(2);
 }
 
 /**

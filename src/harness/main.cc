@@ -216,8 +216,11 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         }
     }
-    if (o.width <= 0 || o.height <= 0 || o.frames <= 0) {
-        std::fprintf(stderr, "viewport and frame count must be positive\n");
+    if (!viewportInRange(o.width, o.height) || o.frames <= 0) {
+        std::fprintf(stderr,
+                     "viewport sides must be in [1, %d] and the frame "
+                     "count positive\n",
+                     kMaxViewportSide);
         std::exit(2);
     }
     // Typed validation instead of the old behavior (silent acceptance,

@@ -1,6 +1,7 @@
 #include "harness/serve.hh"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "harness/metrics.hh"
@@ -27,14 +28,21 @@ responseFor(const Json &request, const Status &status)
     return r;
 }
 
-/** Integer-valued number member check (rejects 1.5 for "width"). */
+/**
+ * Integer-valued number member check (rejects 1.5 for "width"). Values
+ * outside int's range are rejected before any cast: converting an
+ * out-of-range double to an integer type is undefined.
+ */
 bool
 intMember(const Json &j, double &out)
 {
     if (!j.isNumber())
         return false;
     out = j.number();
-    return out == static_cast<double>(static_cast<long long>(out));
+    if (!(out >= std::numeric_limits<int>::min() &&
+          out <= std::numeric_limits<int>::max()))
+        return false;
+    return out == static_cast<double>(static_cast<int>(out));
 }
 
 /** Full metrics document for one finished run on @p trace. */

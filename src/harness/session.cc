@@ -259,9 +259,11 @@ Status
 Session::load(const std::string &key, GameId game, int width, int height,
               int frames)
 {
-    if (width <= 0 || height <= 0 || frames <= 0)
+    if (!viewportInRange(width, height) || frames <= 0)
         return Status::fail(StatusCode::InvalidRequest,
-                            "viewport and frame count must be positive");
+                            "viewport sides must be in [1, " +
+                                std::to_string(kMaxViewportSide) +
+                                "] and the frame count positive");
     return load(key, buildGameTrace(game, width, height, frames));
 }
 

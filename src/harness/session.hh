@@ -287,7 +287,11 @@ class Session
      */
     Status load(const std::string &key, GameTrace trace);
 
-    /** Build buildGameTrace(game, width, height, frames) under @p key. */
+    /**
+     * Build buildGameTrace(game, width, height, frames) under @p key.
+     * InvalidRequest unless viewportInRange(width, height) and frames is
+     * positive.
+     */
     Status load(const std::string &key, GameId game, int width, int height,
                 int frames);
 

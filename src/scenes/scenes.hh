@@ -61,6 +61,25 @@ struct GameTrace
 };
 
 /**
+ * Largest accepted viewport side in pixels (the trace reader's texture
+ * side cap). The largest render in use is fig04's 3840x2160.
+ */
+constexpr int kMaxViewportSide = 8192;
+
+/**
+ * True when both sides of a @p width x @p height viewport are in
+ * [1, kMaxViewportSide]. Every viewport from outside the program (CLI
+ * flags, serve requests, trace files) is checked with this before any
+ * per-pixel allocation.
+ */
+constexpr bool
+viewportInRange(int width, int height)
+{
+    return width >= 1 && width <= kMaxViewportSide && height >= 1 &&
+        height <= kMaxViewportSide;
+}
+
+/**
  * Build the trace for @p id at the given resolution.
  *
  * @param frames  Number of camera frames to generate.

@@ -84,29 +84,6 @@ edgeQuadAvx2(const EdgeTri &tri, int qx, int qy, int x0, int y0, int x1,
         static_cast<unsigned>(_mm_movemask_ps(inside)) & wmask;
 }
 
-void
-fillColorAvx2(float *dst, int pixels, const float *rgba)
-{
-    const __m128 c = _mm_loadu_ps(rgba);
-    const __m256 cc = _mm256_set_m128(c, c);
-    int i = 0;
-    for (; i + 2 <= pixels; i += 2)
-        _mm256_storeu_ps(dst + 4 * i, cc);
-    if (i < pixels)
-        _mm_storeu_ps(dst + 4 * i, c);
-}
-
-void
-fillDepthAvx2(float *dst, int count, float value)
-{
-    const __m256 v = _mm256_set1_ps(value);
-    int i = 0;
-    for (; i + 8 <= count; i += 8)
-        _mm256_storeu_ps(dst + i, v);
-    for (; i < count; ++i)
-        dst[i] = value;
-}
-
 /**
  * 128-bit body (one quad is 4 lanes). vcmpltps is the scalar
  * depth < stored compare per lane; the and/andnot select stores the new
@@ -184,9 +161,14 @@ ssimRowAvx2(const float *src, float *out, int n, int stride,
 const KernelOps &
 avx2Kernels()
 {
-    static const KernelOps ops{edgeQuadAvx2,    fillColorAvx2,
-                               fillDepthAvx2,   depthQuadAvx2,
-                               scatterQuadAvx2, ssimRowAvx2,
+    // Fills reuse the scalar loops: micro_kernels BM_FbClear measured
+    // them faster than explicit 256-bit stores.
+    static const KernelOps ops{edgeQuadAvx2,
+                               scalarKernels().fill_color,
+                               scalarKernels().fill_depth,
+                               depthQuadAvx2,
+                               scatterQuadAvx2,
+                               ssimRowAvx2,
                                "avx2"};
     return ops;
 }

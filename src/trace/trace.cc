@@ -165,6 +165,10 @@ readTrace(const std::string &path, bool &ok)
     t.id = static_cast<GameId>(r.u32());
     t.width = static_cast<int>(r.u32());
     t.height = static_cast<int>(r.u32());
+    if (!r.ok || !viewportInRange(t.width, t.height)) {
+        std::fclose(f);
+        return t;
+    }
 
     std::uint32_t ntex = r.u32();
     if (!r.ok || ntex > 4096) {

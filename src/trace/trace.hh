@@ -30,7 +30,8 @@ bool writeTrace(const GameTrace &trace, const std::string &path);
 
 /**
  * Load a trace previously written with writeTrace(); textures are
- * regenerated from their recipes.
+ * regenerated from their recipes. A header whose viewport fails
+ * viewportInRange() is a failed load.
  *
  * @param path  File to read.
  * @param ok    Set to whether the load succeeded.

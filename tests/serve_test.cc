@@ -164,6 +164,29 @@ TEST(ServeProtocolTest, LoadThenTracesListsTheAsset)
     EXPECT_EQ(traces[0]["frames"].number(), 2.0);
 }
 
+TEST(ServeProtocolTest, LoadRejectsOutOfRangeViewports)
+{
+    // Refused before any trace is built, so no run can ever allocate
+    // the framebuffer; 3e9 is outside int and must not reach a cast.
+    auto [rc, responses] = serve({
+        R"({"op":"load","key":"huge","game":"wolf",)"
+        R"("width":100000,"height":100000,"frames":1})",
+        R"({"op":"load","key":"wide","game":"wolf",)"
+        R"("width":3e9,"height":48,"frames":1})",
+        R"({"op":"traces"})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[0]["status"].str(), "invalid_request");
+    EXPECT_NE(responses[0]["message"].str().find("[1, 8192]"),
+              std::string::npos);
+    EXPECT_EQ(responses[1]["status"].str(), "invalid_request");
+    EXPECT_NE(responses[1]["message"].str().find("(integers)"),
+              std::string::npos);
+    ASSERT_TRUE(responses[2]["traces"].isArray());
+    EXPECT_TRUE(responses[2]["traces"].items().empty());
+}
+
 TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
 {
     auto [rc, responses] = serve({

@@ -126,6 +126,18 @@ TEST(TraceErrorTest, MissingFileFails)
     EXPECT_FALSE(ok);
 }
 
+TEST(TraceErrorTest, OutOfRangeViewportFails)
+{
+    const std::string path = "trace_test_viewport.pgtrace";
+    GameTrace original = buildGameTrace(GameId::Wolf, 64, 48, 1);
+    original.width = 100000;
+    ASSERT_TRUE(writeTrace(original, path));
+    bool ok = true;
+    readTrace(path, ok);
+    std::remove(path.c_str());
+    EXPECT_FALSE(ok);
+}
+
 TEST(TraceErrorTest, GarbageFileFails)
 {
     const std::string path = "trace_test_garbage.bin";

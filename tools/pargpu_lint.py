@@ -55,6 +55,7 @@ and scripts/check.sh can gate on it.
 """
 
 import argparse
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -325,7 +326,8 @@ def check_internal_include(root, rel, violations):
              '("pargpu/...") instead'))
 
 
-def check_header_selfcontained(root, rel, compiler, std, violations):
+def check_header_selfcontained(root, rel, compiler, std):
+    """Spot-build one header; returns its violation, or None."""
     include_as = rel.replace(os.sep, "/")
     include_as = include_as.removeprefix("src/").removeprefix("include/")
     snippet = f'#include "{include_as}"\n'
@@ -334,11 +336,11 @@ def check_header_selfcontained(root, rel, compiler, std, violations):
            "-I", os.path.join(root, "include"), "-"]
     proc = subprocess.run(cmd, input=snippet, capture_output=True,
                           text=True, cwd=root)
-    if proc.returncode != 0:
-        first = proc.stderr.strip().splitlines()
-        detail = first[0] if first else "compile failed"
-        violations.append(
-            (rel, 1, "header-self", f"not self-contained: {detail}"))
+    if proc.returncode == 0:
+        return None
+    first = proc.stderr.strip().splitlines()
+    detail = first[0] if first else "compile failed"
+    return (rel, 1, "header-self", f"not self-contained: {detail}")
 
 
 def main():
@@ -391,10 +393,15 @@ def main():
     check_policy_docs(root, violations)
 
     if not args.no_spot_builds:
+        # Each spot build is an independent compiler process, so run
+        # them side by side; map() keeps the results in header order.
         headers = [s for s in sources if s.endswith((".hh", ".h"))]
-        for rel in headers:
-            check_header_selfcontained(root, rel, args.compiler, args.std,
-                                       violations)
+        workers = max(1, min(os.cpu_count() or 1, len(headers)))
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            results = pool.map(
+                lambda rel: check_header_selfcontained(
+                    root, rel, args.compiler, args.std), headers)
+            violations.extend(v for v in results if v is not None)
 
     # File-level allowlist: filter after the fact so entries that no
     # longer suppress anything are detectable (and fatal) instead of
