@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hh"
+#include "harness/session.hh"
 #include "quality/ssim.hh"
 
 using namespace pargpu;
@@ -40,7 +43,80 @@ gradientImage(int w, int h)
     return img;
 }
 
+/** 64-bit FNV-1a over the bit patterns of an SSIM map. */
+std::uint64_t
+mapHash(const std::vector<float> &map)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (float v : map) {
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+        for (int i = 0; i < 4; ++i) {
+            h ^= (bits >> (8 * i)) & 0xFFu;
+            h *= 0x100000001B3ull;
+        }
+    }
+    return h;
+}
+
+/** Frame 0 of a small HL2 trace rendered under @p scenario. */
+Image
+renderedFrame(DesignScenario scenario)
+{
+    Session session;
+    RunConfig cfg;
+    cfg.scenario = scenario;
+    cfg.threads = 1;
+    return session.run(buildGameTrace(GameId::HL2, 96, 80, 1), cfg)
+        .images.at(0);
+}
+
+/**
+ * Pins mssim() to an exact bit pattern and ssimMap() to an exact hash,
+ * and checks mssim() is mssimOfMap() of the map bit for bit.
+ */
+void
+expectPinned(const Image &x, const Image &y, std::uint64_t mssim_bits,
+             std::uint64_t map_hash)
+{
+    const std::vector<float> map = ssimMap(x, y);
+    const double m = mssim(x, y);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m),
+              std::bit_cast<std::uint64_t>(mssimOfMap(map)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m), mssim_bits) << m;
+    EXPECT_EQ(mapHash(map), map_hash);
+}
+
 } // namespace
+
+TEST(SsimPinned, RenderedBaselineVsPatu)
+{
+    expectPinned(renderedFrame(DesignScenario::Baseline),
+                 renderedFrame(DesignScenario::Patu),
+                 0x3FEFFC4413C77777ull, 0x8AF9962D2B99FF5Aull);
+}
+
+TEST(SsimPinned, NoisePairOddSize)
+{
+    expectPinned(noiseImage(97, 61, 31), noiseImage(97, 61, 32),
+                 0x3F99727F7D96D3EAull, 0x96FE185673E9F4E6ull);
+}
+
+TEST(SsimPinned, PairSmallerThanWindow)
+{
+    // 5x3 truncates the 11-tap window on both axes at every pixel.
+    expectPinned(noiseImage(5, 3, 41), gradientImage(5, 3),
+                 0xBF81D52442222222ull, 0x2823E0E7AED734FFull);
+}
+
+TEST(SsimPinned, TallAndWidePairs)
+{
+    // One row and one column: the vertical (resp. horizontal) window
+    // holds a single tap.
+    expectPinned(noiseImage(40, 1, 51), noiseImage(40, 1, 52),
+                 0xBFD076B1F2C66666ull, 0x9DB146BB84C2FFB5ull);
+    expectPinned(noiseImage(1, 40, 53), noiseImage(1, 40, 54),
+                 0x3FC44D8D87B33333ull, 0xE4105BAA2362DFE4ull);
+}
 
 TEST(SsimTest, IdenticalImagesScoreOne)
 {
