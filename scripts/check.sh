@@ -19,11 +19,12 @@
 #       diffed against the committed baselines (bench/baselines/) with
 #       --fail-on-regress, in both orders so a delta either way fails
 #    9. SIMD bit-identity: determinism subset + simd_kernel_test, then
-#       the harness metrics export re-run with each tier (scalar, and
-#       avx2 when the CPU has it) forced via PARGPU_SIMD, serially and
-#       with PARGPU_TILE_PARALLEL=1, diffed field-by-field against the
-#       scalar serial run (forced tiers may change only the dispatch
-#       fields, the driver nothing)
+#       ssim_test (pinned MSSIM bits) and the harness metrics export
+#       with an MSSIM reference run, each re-run with each tier (scalar,
+#       and avx2 when the CPU has it) forced via PARGPU_SIMD; the
+#       exports, serial and with PARGPU_TILE_PARALLEL=1, are diffed
+#       field-by-field against the scalar serial run (forced tiers may
+#       change only the dispatch fields, the driver nothing)
 #   10. pargpu-analyze (concurrency & determinism AST rules) plus the
 #       fixture selftest that proves every rule fires
 #   11. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
@@ -217,7 +218,7 @@ stage_simd_identity() {
     # registry simd.dispatch / texunit.simd_width) may differ. The scalar
     # tier forced at run time is the configuration non-x86 targets build.
     cmake --build build-perf -j "$JOBS" \
-        --target determinism_test simd_kernel_test pargpu_harness
+        --target determinism_test simd_kernel_test ssim_test pargpu_harness
     ctest --test-dir build-perf --output-on-failure -j "$JOBS" \
         -R "determinism_test|simd_kernel_test"
     local simd_diff="$ROOT/build-perf/simd-diff"
@@ -260,19 +261,23 @@ EOF
     local dispatch_allow=(--allow run/simd_dispatch
         --allow registry/scalars/simd.dispatch
         --allow registry/scalars/texunit.simd_width)
-    # Forced-tier matrix: every runnable tier, under the inline and the
-    # tile-parallel driver of the fragment engine, must export the scalar
-    # inline run's numbers (dispatch fields aside).
+    # Forced-tier matrix: every runnable tier must pass ssim_test, whose
+    # MSSIM values and SSIM-map hashes are pinned bit for bit, and, under
+    # the inline and the tile-parallel driver of the fragment engine,
+    # must export the scalar inline run's numbers (dispatch fields
+    # aside), the MSSIM against the Baseline reference included.
     local tiers="scalar"
     if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
         tiers="$tiers avx2"
     fi
     local tier tp
     for tier in $tiers; do
+        PARGPU_SIMD="$tier" "$ROOT/build-perf/tests/ssim_test"
         for tp in 0 1; do
             PARGPU_SIMD="$tier" PARGPU_TILE_PARALLEL="$tp" \
                 "$ROOT/build-perf/src/harness/pargpu_harness" \
                 --run-game wolf --run-scenario patu \
+                --run-reference baseline \
                 --run-width 160 --run-height 120 --run-frames 2 --quiet \
                 --metrics-json "$simd_diff/tier-$tier-tp$tp.json"
         done

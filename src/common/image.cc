@@ -3,6 +3,9 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <utility>
+
+#include "common/logging.hh"
 
 namespace pargpu
 {
@@ -11,6 +14,14 @@ Image::Image(int width, int height, const Color4f &fill)
     : width_(width), height_(height),
       pixels_(static_cast<std::size_t>(width) * height, fill)
 {
+}
+
+Image::Image(int width, int height, std::vector<Color4f> pixels)
+    : width_(width), height_(height), pixels_(std::move(pixels))
+{
+    if (width < 0 || height < 0 ||
+        pixels_.size() != static_cast<std::size_t>(width) * height)
+        fatal("Image: pixel count does not match dimensions");
 }
 
 std::vector<float>

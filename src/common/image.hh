@@ -25,6 +25,12 @@ class Image
     /** Allocate a @p width x @p height image filled with @p fill. */
     Image(int width, int height, const Color4f &fill = Color4f{0, 0, 0, 1});
 
+    /**
+     * Adopt @p pixels (row-major) as a @p width x @p height image without
+     * writing them again; fatal() unless there are width * height.
+     */
+    Image(int width, int height, std::vector<Color4f> pixels);
+
     int width() const { return width_; }
     int height() const { return height_; }
     bool empty() const { return pixels_.empty(); }

@@ -58,6 +58,8 @@ struct PatuConfig
     float threshold = 0.4f;
     int max_aniso = 16;     ///< Texture-unit anisotropy cap.
     int table_entries = 16; ///< Texel-address table capacity (ablation).
+
+    bool operator==(const PatuConfig &) const = default;
 };
 
 /** How a pixel's filtering decision was reached. */

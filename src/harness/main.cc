@@ -216,11 +216,11 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         }
     }
-    if (!viewportInRange(o.width, o.height) || o.frames <= 0) {
+    if (!viewportInRange(o.width, o.height) || !framesInRange(o.frames)) {
         std::fprintf(stderr,
                      "viewport sides must be in [1, %d] and the frame "
-                     "count positive\n",
-                     kMaxViewportSide);
+                     "count in [1, %d]\n",
+                     kMaxViewportSide, kMaxFrames);
         std::exit(2);
     }
     // Typed validation instead of the old behavior (silent acceptance,

@@ -110,9 +110,30 @@ makeGpuConfig(const RunConfig &config)
 namespace detail
 {
 
+std::unique_ptr<GpuSimulator>
+WarmSimulator::checkOut(const GpuConfig &config)
+{
+    {
+        MutexLock lk(mu_);
+        if (parked_ && parked_->config() == config)
+            return std::move(parked_);
+    }
+    return std::make_unique<GpuSimulator>(config);
+}
+
+void
+WarmSimulator::checkIn(std::unique_ptr<GpuSimulator> sim)
+{
+    {
+        MutexLock lk(mu_);
+        parked_.swap(sim);
+    }
+    // The displaced simulator (if any) is freed here, outside the lock.
+}
+
 RunResult
 renderTrace(const GameTrace &trace, const RunConfig &config,
-            RunProgress *progress)
+            RunProgress *progress, WarmSimulator *warm)
 {
     // Pin the validated environment snapshot before any frame renders
     // (also arms the PARGPU_CONTRACT_REPORT atexit dump on first use).
@@ -136,14 +157,18 @@ renderTrace(const GameTrace &trace, const RunConfig &config,
     PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);
     std::vector<FrameOutput> outs(n);
     if (parts <= 1 || ThreadPool::inWorker()) {
-        GpuSimulator sim(makeGpuConfig(config));
+        const GpuConfig gpu = makeGpuConfig(config);
+        std::unique_ptr<GpuSimulator> sim = warm != nullptr
+            ? warm->checkOut(gpu) : std::make_unique<GpuSimulator>(gpu);
         for (std::size_t f = 0; f < n; ++f) {
             PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
-            outs[f] = sim.renderFrame(trace.scene, trace.cameras[f],
-                                      trace.width, trace.height);
+            outs[f] = sim->renderFrame(trace.scene, trace.cameras[f],
+                                       trace.width, trace.height);
             if (progress != nullptr)
                 progress->onFrame(f, outs[f].stats);
         }
+        if (warm != nullptr)
+            warm->checkIn(std::move(sim));
     } else {
         ThreadPool::run(parts, 1, [&](std::size_t p) {
             const std::size_t lo = n * p / parts;

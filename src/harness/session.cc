@@ -95,9 +95,10 @@ class Job::Progress : public detail::RunProgress
 };
 
 Job::Job(Passkey, std::string trace_key,
-         std::shared_ptr<const GameTrace> trace, const RunConfig &config)
+         std::shared_ptr<const GameTrace> trace, const RunConfig &config,
+         detail::WarmSimulator *warm)
     : trace_key_(std::move(trace_key)), trace_(std::move(trace)),
-      config_(config), frames_total_(trace_->cameras.size()),
+      config_(config), frames_total_(trace_->cameras.size()), warm_(warm),
       partial_(frames_total_), partial_done_(frames_total_, false)
 {
 }
@@ -144,7 +145,7 @@ Job::execute(std::atomic<std::size_t> *completed)
     }
     cv_.notify_all();
     Progress progress(*this);
-    RunResult run = detail::renderTrace(*trace_, config_, &progress);
+    RunResult run = detail::renderTrace(*trace_, config_, &progress, warm_);
     {
         MutexLock lk(mu_);
         result_ = std::move(run);
@@ -259,11 +260,12 @@ Status
 Session::load(const std::string &key, GameId game, int width, int height,
               int frames)
 {
-    if (!viewportInRange(width, height) || frames <= 0)
+    if (!viewportInRange(width, height) || !framesInRange(frames))
         return Status::fail(StatusCode::InvalidRequest,
                             "viewport sides must be in [1, " +
                                 std::to_string(kMaxViewportSide) +
-                                "] and the frame count positive");
+                                "] and the frame count in [1, " +
+                                std::to_string(kMaxFrames) + "]");
     return load(key, buildGameTrace(game, width, height, frames));
 }
 
@@ -289,7 +291,7 @@ Session::traceKeys() const
 RunResult
 Session::run(const GameTrace &trace, const RunConfig &config)
 {
-    return detail::renderTrace(trace, config);
+    return detail::renderTrace(trace, config, nullptr, &warm_);
 }
 
 std::vector<RunResult>
@@ -341,7 +343,7 @@ Session::submit(const std::string &key, const RunConfig &config,
     }
     JobHandle job =
         std::make_shared<Job>(Job::Passkey{}, key, std::move(asset),
-                              config);
+                              config, &warm_);
     enqueue(job);
     if (status != nullptr)
         *status = Status::success();
@@ -373,7 +375,7 @@ Session::submitSweep(const std::string &key,
     jobs.reserve(configs.size());
     for (const RunConfig &config : configs) {
         JobHandle job = std::make_shared<Job>(Job::Passkey{}, key, asset,
-                                              config);
+                                              config, nullptr);
         enqueue(job);
         jobs.push_back(std::move(job));
     }

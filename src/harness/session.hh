@@ -24,6 +24,20 @@
  *    shared_ptr<Job> and outlive the Session (teardown drains the
  *    queue, so a surviving handle always ends in State::Done).
  *
+ * Warm simulator: once a Session is warm, run() and submit() jobs
+ * allocate no multi-MB scratch. The Session parks the GpuSimulator of
+ * its last single-simulator render (one frame, one thread, or nested in
+ * a pool worker) in one mutex-guarded slot; the next such render checks
+ * it out when its GpuConfig is equal, builds a fresh one otherwise, and
+ * parks its simulator back either way, so the slot always holds the
+ * latest config's simulator and lives as long as the Session. Frames
+ * fanned out across the pool render on fresh per-partition simulators,
+ * and sweeps (sweep(), submitSweep()) build one fresh simulator per
+ * config and keep none: their configs differ, so a slot would only
+ * churn, and keeping one simulator per config would hold one frame
+ * arena each and raise peak memory. Outputs are bit-identical either
+ * way.
+ *
  * Error reporting extends the ConfigError/configErrorMessage pattern into
  * a small typed Status (code + message): loading and submission return
  * Status instead of fataling, so a server (pargpu_serve) can reject bad
@@ -136,14 +150,42 @@ class RunProgress
 };
 
 /**
+ * A Session's warm slot: the simulator of its last single-simulator
+ * render, parked so the next render under an equal GpuConfig reuses it
+ * (frame arena, bins, record logs already sized and faulted in) instead
+ * of building and faulting in a fresh one. A simulator's output never
+ * depends on what it rendered before (renderFrame() resets every piece
+ * of per-frame state), so reuse is bit-identical to a fresh build.
+ * Thread safe; a concurrent render that finds the slot empty builds its
+ * own simulator.
+ */
+class WarmSimulator
+{
+  public:
+    /** The parked simulator if its config equals @p config, else a new one. */
+    std::unique_ptr<GpuSimulator> checkOut(const GpuConfig &config);
+
+    /** Park @p sim, dropping whichever simulator was parked before. */
+    void checkIn(std::unique_ptr<GpuSimulator> sim);
+
+  private:
+    Mutex mu_;
+    std::unique_ptr<GpuSimulator> parked_ PARGPU_GUARDED_BY(mu_);
+};
+
+/**
  * The Session::run() engine: renders
  * every frame of @p trace under @p config, frames parallel on the
  * shared pool unless nested, aggregation serial in frame order.
  * fatal()s on an invalid config. @p progress, when non-null, observes
- * each frame completion (it never affects the result).
+ * each frame completion (it never affects the result). When the frames
+ * render on one simulator and @p warm is non-null, that simulator comes
+ * from and goes back to @p warm; frames fanned out across the pool
+ * always render on fresh per-partition simulators.
  */
 RunResult renderTrace(const GameTrace &trace, const RunConfig &config,
-                      RunProgress *progress = nullptr);
+                      RunProgress *progress = nullptr,
+                      WarmSimulator *warm = nullptr);
 
 /** The Session::sweep() engine: conditions in parallel, results by index. */
 std::vector<RunResult> renderSweep(const GameTrace &trace,
@@ -178,9 +220,14 @@ class Job
         Passkey() = default;
     };
 
-    /** Session-only (via Passkey); use Session::submit() to make jobs. */
+    /**
+     * Session-only (via Passkey); use Session::submit() to make jobs.
+     * @p warm is the Session's warm slot, or nullptr for a job that
+     * must render on fresh simulators (one of a submitSweep()).
+     */
     Job(Passkey, std::string trace_key,
-        std::shared_ptr<const GameTrace> trace, const RunConfig &config);
+        std::shared_ptr<const GameTrace> trace, const RunConfig &config,
+        detail::WarmSimulator *warm);
 
     State state() const;
 
@@ -231,6 +278,8 @@ class Job
     const std::shared_ptr<const GameTrace> trace_; ///< Keeps asset alive.
     const RunConfig config_;
     const std::size_t frames_total_;
+    /** The Session's warm slot; only dereferenced while it runs. */
+    detail::WarmSimulator *const warm_;
 
     mutable Mutex mu_;
     mutable std::condition_variable_any cv_;
@@ -289,8 +338,8 @@ class Session
 
     /**
      * Build buildGameTrace(game, width, height, frames) under @p key.
-     * InvalidRequest unless viewportInRange(width, height) and frames is
-     * positive.
+     * InvalidRequest unless viewportInRange(width, height) and
+     * framesInRange(frames); checked before anything is built.
      */
     Status load(const std::string &key, GameId game, int width, int height,
                 int frames);
@@ -305,7 +354,8 @@ class Session
 
     /**
      * Render @p trace under @p config (fatal() on an invalid config).
-     * @p trace is borrowed: it must outlive the call.
+     * @p trace is borrowed: it must outlive the call. Renders on the
+     * warm simulator when the frames do not fan out (file comment).
      */
     RunResult run(const GameTrace &trace, const RunConfig &config);
 
@@ -342,7 +392,8 @@ class Session
                      Status *status = nullptr);
 
     /**
-     * Enqueue one job per config (a concurrent sweep). All-or-nothing:
+     * Enqueue one job per config (a concurrent sweep; like sweep(), its
+     * jobs render on fresh simulators). All-or-nothing:
      * on any invalid config nothing is enqueued and the vector is
      * empty with the reason in @p status. Waiting on the handles in
      * order yields results bit-identical to sweep().
@@ -373,6 +424,8 @@ class Session
     bool stop_ PARGPU_GUARDED_BY(mu_) = false;
     std::atomic<std::size_t> submitted_{0};
     std::atomic<std::size_t> completed_{0};
+    /** Shared by run() and submit() jobs; sweeps never touch it. */
+    detail::WarmSimulator warm_;
 };
 
 } // namespace pargpu

@@ -28,6 +28,8 @@ struct DramConfig
     Cycle t_cas = 20;             ///< Row-hit access latency.
     Cycle t_row_miss = 44;        ///< Precharge + activate + CAS.
     Cycle t_base = 40;            ///< Controller/interconnect overhead.
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** Per-access result from the DRAM model. */

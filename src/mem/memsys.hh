@@ -34,6 +34,8 @@ struct MemLatencies
 {
     Cycle l1_hit = 4;   ///< Texture L1 hit.
     Cycle l2_hit = 28;  ///< L2 hit (beyond the L1 lookup).
+
+    bool operator==(const MemLatencies &) const = default;
 };
 
 /** Memory-system geometry; scale factors support the Fig. 21 sweep. */
@@ -49,6 +51,8 @@ struct MemSysConfig
     unsigned llc_scale = 1;         ///< LLC capacity multiplier.
     MemLatencies latencies;
     DramConfig dram;
+
+    bool operator==(const MemSysConfig &) const = default;
 };
 
 /**

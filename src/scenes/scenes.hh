@@ -80,6 +80,20 @@ viewportInRange(int width, int height)
 }
 
 /**
+ * Largest accepted frame (camera) count, the trace reader's camera cap.
+ * Every frame count from outside the program (CLI flags, serve requests,
+ * trace files) is checked against it before any trace is built.
+ */
+constexpr int kMaxFrames = 1 << 20;
+
+/** True when @p frames is in [1, kMaxFrames]. */
+constexpr bool
+framesInRange(int frames)
+{
+    return frames >= 1 && frames <= kMaxFrames;
+}
+
+/**
  * Build the trace for @p id at the given resolution.
  *
  * @param frames  Number of camera frames to generate.

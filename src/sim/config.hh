@@ -89,6 +89,9 @@ struct GpuConfig
     // --- Subsystem configurations --------------------------------------
     MemSysConfig mem;   ///< Caches + DRAM (Table I defaults).
     PatuConfig patu;    ///< Design scenario + threshold.
+
+    /** Field-wise equality: equal configs simulate identically. */
+    bool operator==(const GpuConfig &) const = default;
 };
 
 /** Simulated GPU address-space map. */

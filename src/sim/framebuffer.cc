@@ -86,9 +86,8 @@ Framebuffer::depthAt(int x, int y) const
 Image
 Framebuffer::toImage() const
 {
-    Image img(width_, height_);
-    std::copy(color_.begin(), color_.end(), img.pixels().begin());
-    return img;
+    return Image(width_, height_,
+                 std::vector<Color4f>(color_.begin(), color_.end()));
 }
 
 Addr

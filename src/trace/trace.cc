@@ -229,7 +229,7 @@ readTrace(const std::string &path, bool &ok)
     }
 
     std::uint32_t ncams = r.u32();
-    if (!r.ok || ncams > (1u << 20)) {
+    if (!r.ok || ncams > static_cast<std::uint32_t>(kMaxFrames)) {
         std::fclose(f);
         return t;
     }

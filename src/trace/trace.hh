@@ -31,7 +31,8 @@ bool writeTrace(const GameTrace &trace, const std::string &path);
 /**
  * Load a trace previously written with writeTrace(); textures are
  * regenerated from their recipes. A header whose viewport fails
- * viewportInRange() is a failed load.
+ * viewportInRange(), or a camera count above kMaxFrames, is a failed
+ * load.
  *
  * @param path  File to read.
  * @param ok    Set to whether the load succeeded.

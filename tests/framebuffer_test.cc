@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "sim/framebuffer.hh"
 
 using namespace pargpu;
@@ -73,6 +75,26 @@ TEST(FramebufferTest, ArenaBackedBehavesLikeOwning)
     Image img = fb.toImage();
     EXPECT_FLOAT_EQ(img.at(3, 2).r, 1.0f);
     EXPECT_FLOAT_EQ(img.at(7, 5).r, 0.25f);
+}
+
+TEST(FramebufferTest, ToImageCopiesEveryPixelBitwise)
+{
+    BumpArena arena;
+    Framebuffer fb(7, 5, arena);
+    fb.clear({0.25f, 0.5f, 0.75f, 1.0f});
+    for (int y = 0; y < 5; y += 2)
+        for (int x = 0; x < 7; x += 3)
+            fb.writeColor(x, y, {x / 7.0f, y / 5.0f, 0.125f, 0.5f});
+    const Image img = fb.toImage();
+    ASSERT_EQ(img.width(), 7);
+    ASSERT_EQ(img.height(), 5);
+    ASSERT_EQ(img.pixels().size(), 35u);
+    for (int y = 0; y < 5; ++y) {
+        for (int x = 0; x < 7; ++x) {
+            const Color4f a = img.at(x, y), b = fb.colorAt(x, y);
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << x << "," << y;
+        }
+    }
 }
 
 TEST(FramebufferTest, PixelAddressesAreDistinctAndOrdered)

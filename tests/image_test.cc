@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/image.hh"
 
@@ -24,6 +25,26 @@ TEST(ImageTest, ConstructionFillsWithColor)
             EXPECT_FLOAT_EQ(img.at(x, y).g, 0.25f);
         }
     }
+}
+
+TEST(ImageTest, AdoptsPixelVector)
+{
+    std::vector<Color4f> px;
+    for (int i = 0; i < 6; ++i)
+        px.push_back(Color4f{0.1f * i, 0.5f, 0.25f, 1.0f});
+    Image img(3, 2, px);
+    EXPECT_EQ(img.width(), 3);
+    EXPECT_EQ(img.height(), 2);
+    ASSERT_EQ(img.pixels().size(), px.size());
+    for (std::size_t i = 0; i < px.size(); ++i)
+        EXPECT_EQ(img.pixels()[i].r, px[i].r);
+    EXPECT_EQ(img.at(2, 1).r, px[5].r);
+}
+
+TEST(ImageDeathTest, AdoptRejectsWrongPixelCount)
+{
+    EXPECT_EXIT(Image(3, 2, std::vector<Color4f>(5)),
+                testing::ExitedWithCode(1), "does not match");
 }
 
 TEST(ImageTest, DefaultImageIsEmpty)

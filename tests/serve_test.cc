@@ -187,6 +187,24 @@ TEST(ServeProtocolTest, LoadRejectsOutOfRangeViewports)
     EXPECT_TRUE(responses[2]["traces"].items().empty());
 }
 
+TEST(ServeProtocolTest, LoadRejectsTooManyFrames)
+{
+    // Above the 2^20 camera cap readTrace enforces: refused before the
+    // trace (and its camera vector) is built, and never listed.
+    auto [rc, responses] = serve({
+        R"({"op":"load","key":"long","game":"wolf",)"
+        R"("width":64,"height":48,"frames":1100000})",
+        R"({"op":"traces"})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[0]["status"].str(), "invalid_request");
+    EXPECT_NE(responses[0]["message"].str().find("[1, 1048576]"),
+              std::string::npos);
+    ASSERT_TRUE(responses[1]["traces"].isArray());
+    EXPECT_TRUE(responses[1]["traces"].items().empty());
+}
+
 TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
 {
     auto [rc, responses] = serve({

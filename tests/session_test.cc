@@ -2,13 +2,16 @@
  * @file
  * Unit tests for the Session facade (src/harness/session.hh): typed
  * Status reporting, immutable shared assets, concurrent jobs
- * bit-identical to the borrowed-trace sweep, snapshot streaming, and job
- * handles surviving Session teardown.
+ * bit-identical to the borrowed-trace sweep, snapshot streaming, job
+ * handles surviving Session teardown, and the warm simulator matching
+ * fresh ones under any sequence of configs, viewports and callers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <utility>
 
 #include "harness/metrics.hh"
 #include "harness/session.hh"
@@ -296,4 +299,141 @@ TEST(SessionTest, JobHandlesSurviveSessionTeardown)
     cfg.keep_images = false;
     expectRunsIdentical(cfg, jobs.front()->result(),
                         jobs.back()->result());
+}
+
+namespace
+{
+
+/** run() of @p trace under @p config in a Session of its own. */
+RunResult
+freshRun(const GameTrace &trace, const RunConfig &config)
+{
+    Session fresh;
+    return fresh.run(trace, config);
+}
+
+} // namespace
+
+TEST(WarmSimulatorTest, SlotHandsBackOnlyAnEqualConfig)
+{
+    GpuConfig a;
+    GpuConfig b = a;
+    b.mem.llc_scale = 2;
+    EXPECT_FALSE(a == b);
+
+    detail::WarmSimulator warm;
+    std::unique_ptr<GpuSimulator> sim = warm.checkOut(a);
+    const GpuSimulator *parked = sim.get();
+    warm.checkIn(std::move(sim));
+    // A different config misses and leaves the parked simulator alone.
+    EXPECT_NE(warm.checkOut(b).get(), parked);
+    sim = warm.checkOut(a);
+    EXPECT_EQ(sim.get(), parked);
+    // Checked out: the slot is empty until it comes back.
+    EXPECT_NE(warm.checkOut(a).get(), parked);
+}
+
+TEST(WarmSimulatorTest, SingleSimulatorRendersUseTheSlotFannedOutOnesDoNot)
+{
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    const GpuConfig gpu = makeGpuConfig(cfg);
+
+    detail::WarmSimulator warm;
+    auto sim = std::make_unique<GpuSimulator>(gpu);
+    const GpuSimulator *parked = sim.get();
+    warm.checkIn(std::move(sim));
+
+    // Three frames over two partitions: fresh per-partition simulators,
+    // the slot is untouched.
+    cfg.threads = 2;
+    detail::renderTrace(tinyTrace(), cfg, nullptr, &warm);
+    sim = warm.checkOut(gpu);
+    EXPECT_EQ(sim.get(), parked);
+    warm.checkIn(std::move(sim));
+
+    // One thread: the frames render on the parked simulator, which goes
+    // back into the slot.
+    cfg.threads = 1;
+    const RunResult warm_run =
+        detail::renderTrace(tinyTrace(), cfg, nullptr, &warm);
+    EXPECT_EQ(warm.checkOut(gpu).get(), parked);
+    expectRunsIdentical(cfg, warm_run, freshRun(tinyTrace(), cfg));
+}
+
+TEST(WarmSimulatorTest, RunsMatchFreshSessionsAcrossConfigsAndViewports)
+{
+    const GameTrace wolf = buildGameTrace(GameId::Wolf, 160, 120, 2);
+    const GameTrace ut3 = buildGameTrace(GameId::Ut3, 128, 96, 1);
+    RunConfig a;
+    a.scenario = DesignScenario::Patu;
+    a.threads = 1; // Both frames on one (warm) simulator.
+    RunConfig b;
+    b.scenario = DesignScenario::NoAF;
+    b.tile_parallel = true;
+    RunConfig a_llc = a;
+    a_llc.llc_scale = 2;
+
+    // Each step reuses, replaces or reconfigures the warm simulator:
+    // A, A again (reused), B on another viewport (replaced), B's config
+    // on A's viewport (reused across viewports), A, and A with one
+    // memory-system field changed.
+    const std::vector<std::pair<const GameTrace *, RunConfig>> steps = {
+        {&wolf, a}, {&wolf, a}, {&ut3, b}, {&wolf, b}, {&wolf, a},
+        {&wolf, a_llc},
+    };
+    Session session;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        SCOPED_TRACE(i);
+        const auto &[trace, config] = steps[i];
+        // Every FrameStats field is in the metrics document.
+        expectRunsIdentical(config, session.run(*trace, config),
+                            freshRun(*trace, config));
+    }
+}
+
+TEST(WarmSimulatorTest, ConcurrentRunsAndJobsMatchSerialRuns)
+{
+    const GameTrace trace = buildGameTrace(GameId::Wolf, 96, 72, 1);
+    std::vector<RunConfig> configs(2);
+    configs[0].scenario = DesignScenario::Patu;
+    configs[1].scenario = DesignScenario::Baseline;
+    configs[1].tile_parallel = true;
+    std::vector<RunResult> serial;
+    for (const RunConfig &c : configs)
+        serial.push_back(freshRun(trace, c));
+
+    Session session(SessionOptions{2});
+    ASSERT_TRUE(session.load(
+        "w", buildGameTrace(GameId::Wolf, 96, 72, 1)).ok());
+    constexpr int kRounds = 4;
+    // Two threads call run() and one submit()s, alternating configs out
+    // of phase, so the warm slot is hit, missed and replaced under
+    // contention.
+    std::vector<std::vector<RunResult>> got(3);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 3; ++t) {
+        callers.emplace_back([&, t] {
+            for (int r = 0; r < kRounds; ++r) {
+                const RunConfig &c = configs[(r + t) % 2];
+                if (t < 2) {
+                    got[t].push_back(session.run(trace, c));
+                } else {
+                    JobHandle job = session.submit("w", c);
+                    got[t].push_back(job->result());
+                }
+            }
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    for (int t = 0; t < 3; ++t) {
+        ASSERT_EQ(got[t].size(), static_cast<std::size_t>(kRounds));
+        for (int r = 0; r < kRounds; ++r) {
+            SCOPED_TRACE(testing::Message() << "caller " << t << " round "
+                                            << r);
+            const std::size_t k = static_cast<std::size_t>((r + t) % 2);
+            expectRunsIdentical(configs[k], got[t][r], serial[k]);
+        }
+    }
 }
