@@ -8,6 +8,14 @@
  * SSIM is computed on the luma plane with an 11x11 Gaussian window
  * (sigma = 1.5) and the standard stability constants C1 = (0.01 L)^2,
  * C2 = (0.03 L)^2 on a dynamic range L = 1.
+ *
+ * The map is computed in one serial pass over rows: the separable blur's
+ * horizontal pass feeds a ring of `window` rows per blurred quantity and
+ * the vertical pass reads that ring, so working memory is O(window *
+ * width) rather than a dozen full-size planes. mssim() sums each row as
+ * it is finished and never materializes the map; its value is bit for
+ * bit mssimOfMap(ssimMap(x, y)). Parallelism lives one level up, across
+ * frames (RunResult::mssimAgainst).
  */
 
 #ifndef PARGPU_QUALITY_SSIM_HH
